@@ -5,8 +5,10 @@ supported near 0 with ``int phi^2 = 1``.  Composed with a direction as
 ``phi(mu * k . x)`` it produces a shear concentrated on thin periodic
 strips orthogonal to ``k`` — the two-dimensional stand-in for a Mikado
 flow.  The cutoff system tracks the strip sets of all levels up to a
-given one, measures their area fractions, and provides a smooth cutoff
-that is 1 on the strips and 0 away from a small neighbourhood of them.
+given one and provides a smooth cutoff that is 1 on the strips and 0
+away from a small neighbourhood of them.  Their area fractions are
+counted on a sample grid whose membership comes from exact integer
+residues of mu k . x; only the area is a Riemann sum.
 
 Two realizations of ``phi`` coexist:
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -158,17 +160,22 @@ class RealizedProfile:
         ``k`` is a direction with entries of denominator dividing ``mu``
         so every mode lands on an integer frequency.
         """
-        v1 = Fraction(k[0]) * mu
-        v2 = Fraction(k[1]) * mu
-        if v1.denominator != 1 or v2.denominator != 1:
-            raise ValueError(f"mu={mu} does not clear denominators of k={k}")
-        v1, v2 = int(v1), int(v2)
+        v1, v2 = _integer_frequency(k, mu)
         modes = {(0, 0): complex(self.coeffs[0])}
         for m in range(1, self.band + 1):
             a = complex(self.coeffs[m])
             modes[(m * v1, m * v2)] = a
             modes[(-m * v1, -m * v2)] = a
         return SpectralField.from_modes(grid, modes)
+
+
+def _integer_frequency(k: tuple, mu: int) -> tuple:
+    """The integer vector mu k; ``mu`` must clear the denominators of k."""
+    v1 = Fraction(k[0]) * mu
+    v2 = Fraction(k[1]) * mu
+    if v1.denominator != 1 or v2.denominator != 1:
+        raise ValueError(f"mu={mu} does not clear denominators of k={k}")
+    return int(v1), int(v2)
 
 
 def _wrap(theta: np.ndarray) -> np.ndarray:
@@ -181,6 +188,8 @@ def _wrap(theta: np.ndarray) -> np.ndarray:
 STRIP_HALF_WIDTH = 1.0 / 100.0
 #: half-width of the fattened strips (spatial fattening 1/(100 mu))
 FATTENED_HALF_WIDTH = 2.0 / 100.0
+#: sample points per block of rows in ``CutoffSystem.area_fractions``
+_BLOCK_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -207,26 +216,25 @@ class CutoffSystem:
     def directions(self) -> tuple:
         return tuple(self.schedule.directions.pairs)
 
-    def _thetas(self, x1: np.ndarray, x2: np.ndarray):
-        """Strip coordinates mu_l k . x for each level and direction."""
-        for l in range(1, self.level + 1):
-            mu = self.schedule.mu(l)
-            for k in self.directions:
-                yield float(k[0]) * mu * x1 + float(k[1]) * mu * x2
+    def _intersect_unions(self, member) -> np.ndarray:
+        """Minimum over levels of the maximum over directions of member.
+
+        On boolean members: the intersection over levels of the union over
+        directions.  Levels sharing one mu share one strip set.
+        """
+        out = None
+        mus = sorted({self.schedule.mu(l) for l in range(1, self.level + 1)})
+        for mu in mus:
+            hit = reduce(np.maximum, [member(mu, k) for k in self.directions])
+            out = hit if out is None else np.minimum(out, hit)
+        return out
 
     def _level_union(self, x1, x2, half_width: float) -> np.ndarray:
         """Boolean membership in the intersected union of strips."""
         x1 = np.asarray(x1, dtype=np.float64)
         x2 = np.asarray(x2, dtype=np.float64)
-        inside = np.ones(np.broadcast(x1, x2).shape, dtype=bool)
-        for l in range(1, self.level + 1):
-            mu = self.schedule.mu(l)
-            level_hit = np.zeros_like(inside)
-            for k in self.directions:
-                theta = float(k[0]) * mu * x1 + float(k[1]) * mu * x2
-                level_hit |= _wrap(theta) <= half_width
-            inside &= level_hit
-        return inside
+        return self._intersect_unions(lambda mu, k: _wrap(
+            float(k[0]) * mu * x1 + float(k[1]) * mu * x2) <= half_width)
 
     def strip_indicator(self, x1, x2) -> np.ndarray:
         return self._level_union(x1, x2, STRIP_HALF_WIDTH)
@@ -235,16 +243,36 @@ class CutoffSystem:
         return self._level_union(x1, x2, FATTENED_HALF_WIDTH)
 
     def area_fractions(self, samples: int = 4096) -> dict:
-        """Measured area fractions of the strip sets and their bound.
+        """Area fractions of the strip sets on a samples^2 grid; their bound.
 
-        The sets are unions of explicit periodic strips, so membership is
-        evaluated exactly at each sample point; only the area measurement
-        itself is a Riemann sum.
+        At x = 2 pi (i, j) / N the strip coordinate mu_l k . x is 2 pi r / N
+        modulo 2 pi, with r = (v1 i + v2 j) mod N for the integer vector
+        (v1, v2) = mu_l k.  Membership is therefore exact: it is read from a
+        table over the residues, coded 2 in the strip, 1 in the fattened
+        strip only and 0 outside.  Only the area is a Riemann sum, the count
+        of member points over N^2.  Rows are counted in blocks of about
+        ``_BLOCK_POINTS`` points, so memory stays bounded for every N.
         """
-        x = (2.0 * math.pi / samples) * np.arange(samples)
-        x1, x2 = np.meshgrid(x, x, indexing="ij")
-        frac = float(np.mean(self.strip_indicator(x1, x2)))
-        frac_fat = float(np.mean(self.fattened_indicator(x1, x2)))
+        n = samples
+        dist = _wrap((2.0 * math.pi / n) * np.arange(n))
+        # twice over, so (v1 i mod N) + (v2 j mod N) indexes it directly
+        code = np.tile((dist <= STRIP_HALF_WIDTH).astype(np.uint8)
+                       + (dist <= FATTENED_HALF_WIDTH), 2)
+        idx = np.arange(n)
+
+        def member(rows, mu, k):
+            v1, v2 = _integer_frequency(k, mu)
+            return code[np.add.outer((v1 * rows) % n, (v2 * idx) % n)]
+
+        strips = fattened = 0
+        step = max(1, _BLOCK_POINTS // n)
+        for start in range(0, n, step):
+            point = self._intersect_unions(
+                partial(member, idx[start:start + step]))
+            strips += np.count_nonzero(point == 2)
+            fattened += np.count_nonzero(point)
+        frac = float(strips / (n * n))
+        frac_fat = float(fattened / (n * n))
         q = (self.level + 1) // 2
         return {
             "strips": frac,
@@ -276,51 +304,6 @@ class CutoffSystem:
                 miss *= smooth_step(v)
             out *= 1.0 - miss
         return out
-
-    def chi_field(self, grid: Grid) -> SpectralField:
-        """Cutoff sampled on a grid fine enough to resolve its windows."""
-        mu_max = max(self.schedule.mu(l) for l in range(1, self.level + 1))
-        transition = (2.0 / 400.0) / mu_max
-        if 2.0 * math.pi / grid.n > 0.5 * transition:
-            raise ValueError(
-                f"grid n={grid.n} cannot resolve cutoff transition width "
-                f"{transition:.2e}; need n >= {int(4.0 * math.pi / transition) + 1}"
-            )
-        x1, x2 = grid.points()
-        return SpectralField.from_physical(grid, self.chi(x1, x2))
-
-    def cn_report(self, n_orders: int = 4, samples: int = 64) -> dict:
-        """Sup of finite-difference derivatives up to order ``n_orders``.
-
-        Reported against the reference growth lam^(N/4) of the level's
-        shear frequency; nothing is asserted, the ratio is informational.
-        """
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(0.0, 2.0 * math.pi, size=(2, samples * samples))
-        lam = self.schedule.lam(self.level)
-        h = 1e-3 / max(self.schedule.mu(l) for l in range(1, self.level + 1))
-        report = {0: {"sup": float(np.max(np.abs(self.chi(pts[0], pts[1])))),
-                      "reference": 1.0}}
-        stencil = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
-        for order in range(1, n_orders + 1):
-            if order == 1:
-                w = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-            elif order == 2:
-                w = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-            elif order == 3:
-                w = np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / (2.0 * h ** 3)
-            else:
-                w = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h ** 4
-            sup = 0.0
-            for axis in range(2):
-                vals = np.zeros(pts.shape[1])
-                for s, c in zip(stencil, w):
-                    shifted = pts.copy()
-                    shifted[axis] += s
-                    vals += c * self.chi(shifted[0], shifted[1])
-                sup = max(sup, float(np.max(np.abs(vals))))
-            report[order] = {"sup": sup, "reference": lam ** (order / 4.0)}
-        return report
 
 
 def build_cutoffs(schedule: ParamSchedule, q: int) -> CutoffSystem:

@@ -1,11 +1,13 @@
 """Concentration profile and the strip cutoff system."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from torusns.profile import (ConcentrationProfile, build_cutoffs)
-from torusns.schedule import toy_schedule
+from torusns.schedule import ParamSchedule, toy_schedule
 from torusns.spectral import Grid
 
 
@@ -72,3 +74,34 @@ def test_area_fractions_within_bound():
         assert frac["within_bound"], frac
         assert frac["strips"] <= frac["fattened"]
         assert frac["bound"] == 2.0 ** (-2 * q + 1)
+
+
+@pytest.mark.parametrize("sched, q", [
+    (toy_schedule(), 1),
+    (toy_schedule(), 2),
+    (ParamSchedule((5, 10), (5, 5)), 1),
+    (ParamSchedule((25, 125, 625), (5, 10, 25)), 2),
+])
+def test_area_fractions_equal_indicator_means(sched, q):
+    # membership from integer residues is the float indicators' membership
+    # at every sample point, so the fractions agree exactly
+    cut = build_cutoffs(sched, q)
+    for n in (500, 1024, 2047):
+        x = (2.0 * math.pi / n) * np.arange(n)
+        x1, x2 = np.meshgrid(x, x, indexing="ij")
+        frac = cut.area_fractions(samples=n)
+        assert frac["strips"] == float(np.mean(cut.strip_indicator(x1, x2)))
+        assert frac["fattened"] == float(
+            np.mean(cut.fattened_indicator(x1, x2)))
+
+
+def test_area_fractions_memory_is_bounded():
+    cut = build_cutoffs(toy_schedule(), 2)
+    tracemalloc.start()
+    try:
+        cut.area_fractions()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 4096^2 meshgrid alone is 134 MB
+    assert peak < 64e6, peak

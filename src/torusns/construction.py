@@ -25,7 +25,7 @@ from .geometry import ID_WEIGHTS, LAMBDA, pair_weight_functionals, perp
 from .profile import ConcentrationProfile
 from .schedule import ParamSchedule
 from .spectral import (Grid, MatrixField, SpectralField, VectorField,
-                       fit_grid)
+                       components, fit_grid)
 from .timefield import ExpSeries, mollify_time
 
 
@@ -33,31 +33,12 @@ from .timefield import ExpSeries, mollify_time
 # basic helpers
 # ---------------------------------------------------------------------------
 
-def modulate(f: SpectralField, v1: int, v2: int) -> SpectralField:
-    """Multiply by e^{i (v1, v2).x}: an exact frequency shift.
-
-    Requires the shifted band to stay inside the Nyquist square.
-    """
-    n = f.grid.n
-    shift = max(abs(v1), abs(v2))
-    if f.band + shift > n // 2 - 1:
-        raise ValueError(
-            f"modulation by {(v1, v2)} pushes band {f.band} beyond grid n={n}"
-        )
-    c = np.roll(f.coef, (v1, v2), axis=(0, 1))
-    return SpectralField(f.grid, c, band=f.band + shift)
-
-
 def _int_vec(k, scale: int) -> tuple:
     v1 = Fraction(k[0]) * scale
     v2 = Fraction(k[1]) * scale
     if v1.denominator != 1 or v2.denominator != 1:
         raise ValueError(f"{scale} does not clear denominators of {k}")
     return int(v1), int(v2)
-
-
-def mode_field(grid: Grid, v: tuple, amp: complex) -> SpectralField:
-    return SpectralField.from_modes(grid, {v: amp})
 
 
 def sin_shear(grid: Grid, lam: int) -> VectorField:
@@ -82,7 +63,7 @@ def heat_mode_residual(grid: Grid, lam: int, times=(0.0, 1e-4, 1e-3)) -> float:
     worst = 0.0
     for k in LAMBDA.elements:
         v = _int_vec(k, lam)
-        f = mode_field(grid, v, 1.0)
+        f = SpectralField.from_modes(grid, {v: 1.0})
         series = ExpSeries({float(lam) ** 2: f})
         resid = series.dt() + series.map(lambda g: -1.0 * g.laplacian())
         for t in times:
@@ -357,7 +338,7 @@ class EvenLevelBuilder:
                 lap = gb.laplacian()
                 pgrad = gb.perp_gradient()
                 for s in (1, -1):
-                    mod = lambda f: modulate(f, s * kv[0], s * kv[1])
+                    mod = lambda f: f.shift(s * kv[0], s * kv[1])
                     ikb = 1j * s * kbf
                     gm = mod(gb)
                     main_t = VectorField(ikb[0] * gm, ikb[1] * gm)
@@ -612,11 +593,6 @@ class EvenLevelBuilder:
         state.F2 = heat_resid + ws_lap + cross
 
 
-def build_even_level(grid: Grid, schedule: ParamSchedule, q: int,
-                     prev: LevelState, **kw) -> LevelState:
-    return EvenLevelBuilder(grid, schedule, 2 * q, prev, **kw).build()
-
-
 def build_level(grid: Grid, schedule: ParamSchedule, m: int,
                 prev: LevelState | None = None, **kw) -> LevelState:
     """Level m of the alternating iteration (seed for m=1)."""
@@ -630,12 +606,8 @@ def build_level(grid: Grid, schedule: ParamSchedule, m: int,
 # ---------------------------------------------------------------------------
 
 def _series_scale(series: ExpSeries) -> float:
-    out = 0.0
-    for f in series.terms.values():
-        if isinstance(f, VectorField):
-            out = max(out, np.abs(f.u1.coef).max(), np.abs(f.u2.coef).max())
-        else:
-            out = max(out, np.abs(f.coef).max())
+    out = max((np.abs(c.coef).max() for f in series.terms.values()
+               for c in components(f)), default=0.0)
     return max(out, 1e-300)
 
 

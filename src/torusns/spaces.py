@@ -15,14 +15,12 @@ The mean mode is excluded from every block.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, VectorField, _pad
+from .spectral import Grid, SpectralField, VectorField, components, modulus
 
 __all__ = [
     "smooth_step",
@@ -32,7 +30,6 @@ __all__ = [
     "cn_norm",
     "bmo_inv_norm",
     "oscillatory_bound_check",
-    "NormReport",
 ]
 
 
@@ -63,28 +60,14 @@ class LittlewoodPaley:
     def blocks(self):
         return range(0, self.j_top + 1)
 
-    def weight(self, j: int) -> np.ndarray:
-        return self._weights[j]
-
     def block(self, f: SpectralField, j: int) -> SpectralField:
         if not 0 <= j <= self.j_top:
             raise ValueError(f"block index {j} out of range")
         return SpectralField(self.grid, f.coef * self._weights[j])
 
-    def block_vector(self, v: VectorField, j: int) -> VectorField:
-        return VectorField(self.block(v.u1, j), self.block(v.u2, j))
-
-    def reconstruct(self, f: SpectralField) -> SpectralField:
-        """Sum of all blocks plus the mean; equals f exactly."""
-        total = np.zeros_like(f.coef)
-        for j in self.blocks:
-            total += f.coef * self._weights[j]
-        total[0, 0] += f.coef[0, 0]
-        return SpectralField(self.grid, total)
-
 
 @lru_cache(maxsize=8)
-def _block_weights_cached(n: int, j_top: int):
+def _block_weights(n: int, j_top: int):
     grid = Grid(n)
     ksq = grid.ksq
     u = np.full_like(ksq, -40.0)
@@ -101,47 +84,11 @@ def _block_weights_cached(n: int, j_top: int):
     return tuple(weights)
 
 
-def _block_weights(n, j_top):
-    return _block_weights_cached(n, j_top)
-
-
-@dataclass
-class NormReport:
-    """Serializable record of one norm evaluation."""
-
-    space: str
-    s: float | None = None
-    p: float | None = None
-    q: float | None = None
-    r: float | None = None
-    interval: tuple[float, float] | None = None
-    value: float = 0.0
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        if d["p"] == np.inf:
-            d["p"] = "inf"
-        if d["q"] == np.inf:
-            d["q"] = "inf"
-        if d["r"] == np.inf:
-            d["r"] = "inf"
-        return json.dumps(d, sort_keys=True)
-
-
 def _as_scalar_blocks(f, lp, j):
-    if isinstance(f, VectorField):
-        b = lp.block_vector(f, j)
-        if not (b.u1.coef.any() or b.u2.coef.any()):
-            return np.zeros((1, 1))
-        m = (f.grid.n * 3) // 2
-        p1 = np.fft.ifft2(_pad(b.u1.coef, m)) * (m * m)
-        p2 = np.fft.ifft2(_pad(b.u2.coef, m)) * (m * m)
-        return np.sqrt(np.abs(p1) ** 2 + np.abs(p2) ** 2)
-    b = lp.block(f, j)
-    if not b.coef.any():
+    blocks = [lp.block(c, j) for c in components(f)]
+    if not any(b.coef.any() for b in blocks):
         return np.zeros((1, 1))
-    m = (f.grid.n * 3) // 2
-    return np.abs(np.fft.ifft2(_pad(b.coef, m)) * (m * m))
+    return modulus(blocks)
 
 
 def _lp_of_samples(samples: np.ndarray, p: float) -> float:
@@ -232,12 +179,8 @@ def bmo_inv_norm(f, centers: int = 16, s_nodes: int = 16,
     with the disc indicator).  Log-spaced s quadrature.  Exactly
     1-homogeneous by construction.  Requires mean zero.
     """
-    if isinstance(f, VectorField):
-        comps = [f.u1, f.u2]
-        grid = f.grid
-    else:
-        comps = [f]
-        grid = f.grid
+    comps = components(f)
+    grid = f.grid
     scale = max(max(np.abs(c.coef).max() for c in comps), 1e-300)
     for c in comps:
         if abs(c.coef[0, 0]) > mean_tol * scale:

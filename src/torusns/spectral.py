@@ -8,7 +8,10 @@ standard DFT order (numpy fftfreq layout, row-major), with
 All derivative operators act diagonally on coefficients.  Quadratic
 quantities are computed alias-free: either by 3/2 zero padding, or — when a
 conservative band bound shows the product already fits below the Nyquist
-frequency — by an unpadded transform (identical result, cheaper).
+frequency — by an unpadded transform (identical result, cheaper).  The
+3/2-padded transform pair (``padded_physical``/``padded_spectral``) and the
+pointwise modulus built on it (``modulus``) live here only; products, sup
+norms, block norms and the solver's advection all go through them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ __all__ = [
     "MatrixField",
     "leray_project",
     "calderon_lift",
+    "components",
+    "modulus",
+    "padded_physical",
+    "padded_spectral",
 ]
 
 
@@ -67,11 +74,11 @@ class Grid:
     def nyquist(self) -> int:
         return self.n // 2
 
-    def points(self, oversample: int = 1):
-        """Physical grid coordinates (x1, x2), optionally oversampled."""
-        m = self.n * oversample
-        x = np.arange(m) * (2.0 * np.pi / m)
-        return x[:, None] * np.ones((1, m)), np.ones((m, 1)) * x[None, :]
+    def points(self):
+        """Physical grid coordinates (x1, x2)."""
+        n = self.n
+        x = np.arange(n) * (2.0 * np.pi / n)
+        return x[:, None] * np.ones((1, n)), np.ones((n, 1)) * x[None, :]
 
 
 def _band_of(coef: np.ndarray, rel_tol: float = 1e-14) -> int:
@@ -105,10 +112,6 @@ class SpectralField:
 
     # -- construction -----------------------------------------------------
     @classmethod
-    def from_physical(cls, grid: Grid, samples: np.ndarray) -> "SpectralField":
-        return cls(grid, np.fft.fft2(samples) / (grid.n * grid.n))
-
-    @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
         return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128), band=0)
 
@@ -135,9 +138,6 @@ class SpectralField:
     def to_physical(self) -> np.ndarray:
         return np.fft.ifft2(self.coef) * (self.grid.n * self.grid.n)
 
-    def to_physical_real(self) -> np.ndarray:
-        return self.to_physical().real
-
     def mean(self) -> complex:
         return complex(self.coef[0, 0])
 
@@ -147,12 +147,6 @@ class SpectralField:
         scale = max(np.abs(c).max(), 1e-300)
         mirror = np.roll(np.flip(c, axis=(0, 1)), 1, axis=(0, 1))
         return bool(np.abs(c - np.conj(mirror)).max() <= tol * scale)
-
-    def real_part(self) -> "SpectralField":
-        """Hermitian-symmetrize: the field (f + conj f)/2."""
-        c = self.coef
-        mirror = np.roll(np.flip(c, axis=(0, 1)), 1, axis=(0, 1))
-        return SpectralField(self.grid, 0.5 * (c + np.conj(mirror)), band=self._band)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -214,32 +208,22 @@ class SpectralField:
             return SpectralField(self.grid,
                                  np.fft.fft2(phys) / (n * n),
                                  band=self.band + other.band)
-        m = (3 * n) // 2
-        a = _pad(self.coef, m)
-        b = _pad(other.coef, m)
-        phys = (np.fft.ifft2(a) * (m * m)) * (np.fft.ifft2(b) * (m * m))
-        big = np.fft.fft2(phys) / (m * m)
-        return SpectralField(self.grid, _truncate(big, n))
+        phys = padded_physical(self.coef) * padded_physical(other.coef)
+        return SpectralField(self.grid, padded_spectral(phys, n))
 
-    def shift(self, s1: int, s2: int, wrap_tol: float = 1e-13) -> "SpectralField":
-        """Multiply by exp(i (s1, s2) . x): an exact spectral translation.
+    def shift(self, s1: int, s2: int) -> "SpectralField":
+        """Multiply by exp(i (s1, s2) . x): an exact frequency shift.
 
-        Content pushed beyond the Nyquist band is dropped; raises if the
-        dropped relative mass exceeds wrap_tol.
+        Requires the shifted band to stay inside the Nyquist square.
         """
         n = self.grid.n
-        c = np.fft.fftshift(self.coef)
-        out = np.zeros_like(c)
-        lo1, hi1 = max(0, s1), min(n, n + s1)
-        lo2, hi2 = max(0, s2), min(n, n + s2)
-        out[lo1:hi1, lo2:hi2] = c[lo1 - s1:hi1 - s1, lo2 - s2:hi2 - s2]
-        lost = np.abs(c).sum() - np.abs(out).sum()
-        scale = max(np.abs(c).sum(), 1e-300)
-        if lost > wrap_tol * scale:
-            raise ValueError("shift pushed significant content beyond the grid band")
-        b = None if self._band is None else min(self.band + max(abs(s1), abs(s2)),
-                                                n // 2)
-        return SpectralField(self.grid, np.fft.ifftshift(out), band=b)
+        shift = max(abs(s1), abs(s2))
+        if self.band + shift > n // 2 - 1:
+            raise ValueError(
+                f"shift by {(s1, s2)} pushes band {self.band} beyond grid n={n}"
+            )
+        c = np.roll(self.coef, (s1, s2), axis=(0, 1))
+        return SpectralField(self.grid, c, band=self.band + shift)
 
     def regrid(self, grid: "Grid") -> "SpectralField":
         """Exact re-representation on another grid.
@@ -260,21 +244,9 @@ class SpectralField:
     def l2_norm(self) -> float:
         return float(2.0 * np.pi * np.sqrt(np.sum(np.abs(self.coef) ** 2)))
 
-    def sup_norm(self, oversample: int = 2) -> float:
-        """L^inf on an oversampled physical grid (>= 3/2 oversampling)."""
-        m = (self.grid.n * 3) // 2 if oversample == 2 else self.grid.n * oversample
-        big = _pad(self.coef, m)
-        phys = np.fft.ifft2(big) * (m * m)
-        return float(np.abs(phys).max())
-
-    def lp_norm(self, p: float) -> float:
-        """Grid L^p norm on the 3/2-oversampled physical grid."""
-        if p == np.inf:
-            return self.sup_norm()
-        m = (self.grid.n * 3) // 2
-        phys = np.fft.ifft2(_pad(self.coef, m)) * (m * m)
-        h2 = (2.0 * np.pi / m) ** 2
-        return float((np.sum(np.abs(phys) ** p) * h2) ** (1.0 / p))
+    def sup_norm(self) -> float:
+        """L^inf on the 3/2-oversampled physical grid."""
+        return float(modulus((self,)).max())
 
 
 def _merge_band(b1, b2, op):
@@ -309,6 +281,35 @@ def _truncate(coef: np.ndarray, n: int) -> np.ndarray:
     out[n - h:, :h] = coef[m - h:, :h]
     out[n - h:, n - h:] = coef[m - h:, m - h:]
     return out
+
+
+def padded_physical(coef: np.ndarray) -> np.ndarray:
+    """Samples of an n-band field on the 3/2-padded m x m grid."""
+    m = (3 * coef.shape[0]) // 2
+    return np.fft.ifft2(_pad(coef, m)) * (m * m)
+
+
+def padded_spectral(phys: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of 3/2-grid samples, truncated to the n x n band."""
+    m = phys.shape[0]
+    return _truncate(np.fft.fft2(phys) / (m * m), n)
+
+
+def modulus(fields) -> np.ndarray:
+    """Pointwise Euclidean modulus of the components on the 3/2 grid."""
+    fields = tuple(fields)
+    if len(fields) == 1:
+        return np.abs(padded_physical(fields[0].coef))
+    tot = None
+    for f in fields:
+        sq = np.abs(padded_physical(f.coef)) ** 2
+        tot = sq if tot is None else tot + sq
+    return np.sqrt(tot)
+
+
+def components(field) -> tuple:
+    """The scalar components of a scalar, vector or matrix field."""
+    return (field,) if isinstance(field, SpectralField) else tuple(field)
 
 
 class VectorField:
@@ -347,10 +348,6 @@ class VectorField:
     def divergence(self) -> SpectralField:
         return self.u1.dx(0) + self.u2.dx(1)
 
-    def curl(self) -> SpectralField:
-        """curl f = d1 f2 - d2 f1 (scalar in 2D)."""
-        return self.u2.dx(0) - self.u1.dx(1)
-
     def laplacian(self) -> "VectorField":
         return VectorField(self.u1.laplacian(), self.u2.laplacian())
 
@@ -369,10 +366,7 @@ class VectorField:
         return VectorField(self.u1.regrid(grid), self.u2.regrid(grid))
 
     def sup_norm(self) -> float:
-        m = (self.grid.n * 3) // 2
-        p1 = np.fft.ifft2(_pad(self.u1.coef, m)) * (m * m)
-        p2 = np.fft.ifft2(_pad(self.u2.coef, m)) * (m * m)
-        return float(np.sqrt(np.abs(p1) ** 2 + np.abs(p2) ** 2).max())
+        return float(modulus(self).max())
 
     def l2_norm(self) -> float:
         return float(np.hypot(self.u1.l2_norm(), self.u2.l2_norm()))
@@ -411,6 +405,9 @@ class MatrixField:
     def __neg__(self):
         return MatrixField(-self.a11, -self.a12, -self.a21, -self.a22)
 
+    def __iter__(self):
+        return iter((self.a11, self.a12, self.a21, self.a22))
+
     def row_divergence(self) -> VectorField:
         """(div M)_i = sum_j d_j M_ij."""
         return VectorField(self.a11.dx(0) + self.a12.dx(1),
@@ -424,12 +421,7 @@ class MatrixField:
                            self.a21.regrid(grid), self.a22.regrid(grid))
 
     def sup_norm(self) -> float:
-        m = (self.grid.n * 3) // 2
-        tot = None
-        for f in (self.a11, self.a12, self.a21, self.a22):
-            p = np.fft.ifft2(_pad(f.coef, m)) * (m * m)
-            tot = np.abs(p) ** 2 if tot is None else tot + np.abs(p) ** 2
-        return float(np.sqrt(tot).max())
+        return float(modulus(self).max())
 
 
 def fit_grid(field, min_n: int = 64):
@@ -438,13 +430,7 @@ def fit_grid(field, min_n: int = 64):
     Exact (no information is lost); used to keep long-lived band-limited
     fields compact while products are still evaluated on finer grids.
     """
-    if isinstance(field, VectorField):
-        band = max(field.u1.band, field.u2.band)
-    elif isinstance(field, MatrixField):
-        band = max(field.a11.band, field.a12.band, field.a21.band,
-                   field.a22.band)
-    else:
-        band = field.band
+    band = max(c.band for c in components(field))
     n = min_n
     while n // 2 - 1 < band:
         n *= 2

@@ -16,6 +16,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
+from .spectral import Grid
+
+
+def _add(f, g):
+    """f + g, both first re-represented on the finer grid if theirs differ."""
+    if hasattr(f, "grid") and hasattr(g, "grid") and f.grid.n != g.grid.n:
+        big = Grid(max(f.grid.n, g.grid.n))
+        f, g = f.regrid(big), g.regrid(big)
+    return f + g
+
 
 def _key(rate: float) -> float:
     """Canonical dict key for a rate (collapses -0.0 and fp dust)."""
@@ -41,17 +51,7 @@ class ExpSeries:
                 self._accumulate(_key(r), f)
 
     def _accumulate(self, r: float, f) -> None:
-        if r in self.terms:
-            g = self.terms[r]
-            if hasattr(f, "grid") and hasattr(g, "grid") \
-                    and f.grid.n != g.grid.n:
-                from .spectral import Grid
-                big = Grid(max(f.grid.n, g.grid.n))
-                f = f.regrid(big)
-                g = g.regrid(big)
-            self.terms[r] = g + f
-        else:
-            self.terms[r] = f
+        self.terms[r] = _add(self.terms[r], f) if r in self.terms else f
 
     @property
     def rates(self) -> tuple:
@@ -64,16 +64,7 @@ class ExpSeries:
         acc = None
         for r, f in self.terms.items():
             term = math.exp(-r * t) * f
-            if acc is None:
-                acc = term
-            else:
-                if hasattr(acc, "grid") and hasattr(term, "grid") \
-                        and acc.grid.n != term.grid.n:
-                    from .spectral import Grid
-                    big = Grid(max(acc.grid.n, term.grid.n))
-                    acc = acc.regrid(big)
-                    term = term.regrid(big)
-                acc = acc + term
+            acc = term if acc is None else _add(acc, term)
         return acc
 
     def dt(self) -> "ExpSeries":

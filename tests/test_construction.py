@@ -11,7 +11,7 @@ import pytest
 
 from torusns import construction as cons
 from torusns.schedule import toy_schedule
-from torusns.spectral import Grid, SpectralField
+from torusns.spectral import Grid
 
 GRID = Grid(1024)
 SCHED = toy_schedule()
@@ -34,19 +34,6 @@ def test_seed_is_decaying_shear():
     # the lift of the seed divides back to the seed
     r0 = seed.R_wp.at(0.0)
     assert (r0.row_divergence() - w0).sup_norm() <= 1e-11 * lam
-
-
-def test_modulate_is_exact_shift():
-    f = SpectralField.from_modes(Grid(64), {(1, 2): 1.0, (-1, -2): 1.0})
-    g = cons.modulate(f, 3, -4)
-    expect = f.shift(3, -4)
-    assert (g - expect).sup_norm() <= 1e-14
-
-
-def test_modulate_band_guard():
-    f = SpectralField.from_modes(Grid(64), {(20, 0): 1.0, (-20, 0): 1.0})
-    with pytest.raises(ValueError):
-        cons.modulate(f, 20, 0)
 
 
 def test_builder_level_validation():

@@ -1,6 +1,8 @@
 """Orchestration, configuration files, and the command line."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,3 +122,31 @@ def test_cli_export_json_levels_one(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "ledger.json").read_text())
     assert data["schedule"]["lams"][0] == 25
+
+
+def test_cli_check_identities_seed_level_exit_two(tmp_path, capsys):
+    rc = cli.main(["--out", str(tmp_path), "--grid", "256",
+                   "check-identities", "--m", "1"])
+    assert rc == 2
+    assert "seed level" in capsys.readouterr().err
+
+
+def _readme_usage_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Usage", 1)[1].split("```")[1]
+    return [line for line in block.splitlines()
+            if line.startswith("torusns ")]
+
+
+def test_readme_usage_lines_parse(monkeypatch):
+    lines = _readme_usage_lines()
+    assert lines
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: 0)
+    for line in lines:
+        try:
+            rc = cli.main(shlex.split(line, comments=True)[1:])
+        except SystemExit as exc:  # argparse rejected the line
+            rc = exc.code
+        assert rc == 0, line

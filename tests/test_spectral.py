@@ -103,6 +103,12 @@ def test_shift_is_modulation(rng):
     assert np.abs(got - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1)
 
 
+def test_shift_band_guard():
+    f = SpectralField.from_modes(GRID, {(20, 0): 1.0, (-20, 0): 1.0})
+    with pytest.raises(ValueError):
+        f.shift(20, 0)
+
+
 def test_regrid_roundtrip_exact(rng):
     f = random_field(rng, band=10)
     back = f.regrid(Grid(256)).regrid(GRID)
@@ -116,6 +122,20 @@ def test_fit_grid_preserves_field(rng):
     assert (small.regrid(Grid(512)) - f).sup_norm() <= 1e-13
 
 
+def test_fit_grid_vector_and_matrix(rng):
+    big = Grid(512)
+    a = random_field(rng, grid=Grid(128), band=10)
+    b = random_field(rng, grid=Grid(128), band=40)
+    v = VectorField(a, b).regrid(big)
+    m = MatrixField(a, b, b, a).regrid(big)
+    for field in (v, m):
+        small = fit_grid(field)
+        # the widest component (band 40) sets the grid
+        assert small.grid.n == 128
+        for got, want in zip(small.regrid(big), field):
+            assert np.abs(got.coef - want.coef).max() == 0.0
+
+
 def test_is_real_detects_hermitian(rng):
     f = random_field(rng, real=True)
     assert f.is_real()
@@ -127,6 +147,23 @@ def test_sup_norm_oversampling():
     # a pure mode's sup norm is its coefficient mass
     f = SpectralField.from_modes(GRID, {(7, 0): 0.5, (-7, 0): 0.5})
     assert abs(f.sup_norm() - 1.0) <= 1e-12
+
+
+def test_matrix_sup_norm_is_pointwise_modulus(rng):
+    m = MatrixField(random_field(rng), random_field(rng, real=False),
+                    random_field(rng), random_field(rng, band=20))
+    # brute force: each component sampled on the 3/2 grid, 96 x 96 here
+    x = np.arange(96) * (2 * np.pi / 96)
+    tot = np.zeros((96, 96))
+    for comp in (m.a11, m.a12, m.a21, m.a22):
+        p = np.zeros((96, 96), dtype=complex)
+        for (i, j), c in np.ndenumerate(comp.coef):
+            if c != 0:
+                k1, k2 = GRID.k[i], GRID.k[j]
+                p += c * np.exp(1j * (k1 * x[:, None] + k2 * x[None, :]))
+        tot += np.abs(p) ** 2
+    expect = np.sqrt(tot).max()
+    assert abs(m.sup_norm() - expect) <= 1e-12 * expect
 
 
 def test_l2_norm_parseval(rng):

@@ -171,23 +171,23 @@ def _fused_advection(w: VectorField, U: VectorField | None) -> VectorField:
     what makes full-band corrector steps affordable.
     """
     grid = w.grid
-    w1, w2 = padded_physical(w.u1.coef), padded_physical(w.u2.coef)
+    w1, w2 = padded_physical(w.u1), padded_physical(w.u2)
     if U is None:
         t11 = w1 * w1
         t12 = w1 * w2
-        t21 = t12
         t22 = w2 * w2
     else:
-        u1, u2 = padded_physical(U.u1.coef), padded_physical(U.u2.coef)
+        u1, u2 = padded_physical(U.u1), padded_physical(U.u2)
         t11 = w1 * (w1 + 2.0 * u1)
         t12 = w1 * w2 + w1 * u2 + u1 * w2
-        t21 = w1 * w2 + w2 * u1 + u2 * w1
         t22 = w2 * (w2 + 2.0 * u2)
 
     def spec(p):
         return SpectralField(grid, padded_spectral(p, grid.n))
 
-    mat = MatrixField(spec(t11), spec(t12), spec(t21), spec(t22))
+    # the flux is symmetric: t21 = t12, so one transform serves both
+    s12 = spec(t12)
+    mat = MatrixField(spec(t11), s12, s12, spec(t22))
     return -1.0 * mat.row_divergence()
 
 

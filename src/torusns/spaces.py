@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, VectorField, components, modulus
+from .spectral import Grid, SpectralField, components, modulus
 
 __all__ = [
     "smooth_step",
@@ -63,7 +63,10 @@ class LittlewoodPaley:
     def block(self, f: SpectralField, j: int) -> SpectralField:
         if not 0 <= j <= self.j_top:
             raise ValueError(f"block index {j} out of range")
-        return SpectralField(self.grid, f.coef * self._weights[j])
+        # the weights are real and even in xi, so a real field's blocks are
+        # real; a block of any other field may still be, and tests itself
+        return SpectralField(self.grid, f.coef * self._weights[j],
+                             real=f.real_samples or None)
 
 
 @lru_cache(maxsize=8)
@@ -151,13 +154,8 @@ def cn_norm(f, n_order: int) -> float:
     for m in range(n_order + 1):
         best = 0.0
         for a in range(m + 1):
-            g = f
-            if isinstance(f, VectorField):
-                d1 = _deriv_many(f.u1, a, m - a).sup_norm()
-                d2 = _deriv_many(f.u2, a, m - a).sup_norm()
-                best = max(best, float(np.hypot(d1, d2)))
-            else:
-                best = max(best, _deriv_many(g, a, m - a).sup_norm())
+            d = [_deriv_many(c, a, m - a) for c in components(f)]
+            best = max(best, float(modulus(d).max()))
         total += best
     return float(total)
 

@@ -12,6 +12,11 @@ frequency — by an unpadded transform (identical result, cheaper).  The
 3/2-padded transform pair (``padded_physical``/``padded_spectral``) and the
 pointwise modulus built on it (``modulus``) live here only; products, sup
 norms, block norms and the solver's advection all go through them.
+
+A field whose samples are real (Hermitian coefficients to ``is_real``'s
+tolerance, and an empty Nyquist row and column, which ``_pad`` would embed
+on one side only) takes real-to-complex transforms (``irfft2``/``rfft2``);
+any other field keeps the complex ones.
 """
 
 from __future__ import annotations
@@ -101,14 +106,16 @@ def _band_of(coef: np.ndarray, rel_tol: float = 1e-14) -> int:
 class SpectralField:
     """Scalar field on the torus held as DFT coefficients."""
 
-    __slots__ = ("grid", "coef", "_band")
+    __slots__ = ("grid", "coef", "_band", "_real")
 
-    def __init__(self, grid: Grid, coef: np.ndarray, band: int | None = None):
+    def __init__(self, grid: Grid, coef: np.ndarray, band: int | None = None,
+                 real: bool | None = None):
         if coef.shape != (grid.n, grid.n):
             raise ValueError("coefficient array shape mismatch")
         self.grid = grid
         self.coef = np.ascontiguousarray(coef, dtype=np.complex128)
         self._band = band
+        self._real = real
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -135,6 +142,16 @@ class SpectralField:
             self._band = _band_of(self.coef)
         return self._band
 
+    @property
+    def real_samples(self) -> bool:
+        """True when the samples are real on every grid m >= n: Hermitian
+        coefficients (``is_real``) and an empty Nyquist row and column."""
+        if self._real is None:
+            c, h = self.coef, self.grid.nyquist
+            self._real = (not c[h].any() and not c[:, h].any()
+                          and self.is_real())
+        return self._real
+
     def to_physical(self) -> np.ndarray:
         return np.fft.ifft2(self.coef) * (self.grid.n * self.grid.n)
 
@@ -142,11 +159,15 @@ class SpectralField:
         return complex(self.coef[0, 0])
 
     def is_real(self, tol: float = 1e-12) -> bool:
-        """Check Hermitian symmetry c[-xi] = conj(c[xi])."""
-        c = self.coef
-        scale = max(np.abs(c).max(), 1e-300)
-        mirror = np.roll(np.flip(c, axis=(0, 1)), 1, axis=(0, 1))
-        return bool(np.abs(c - np.conj(mirror)).max() <= tol * scale)
+        """Check Hermitian symmetry c[-xi] = conj(c[xi]) to tol of the
+        largest coefficient."""
+        c, h = self.coef, self.grid.nyquist
+        bound = tol * max(np.abs(c).max(), 1e-300)
+        # -xi on strided views: rows i <-> n - i (1 <= i < h), rows 0 and h
+        # map to themselves, and likewise for columns
+        pairs = ((c[1:h, 1:], c[:h:-1, :0:-1]), (c[1:h, 0], c[:h:-1, 0]),
+                 (c[::h, 1:], c[::h, :0:-1]), (c[::h, 0], c[::h, 0]))
+        return all(np.abs(a - b.conj()).max() <= bound for a, b in pairs)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -203,13 +224,11 @@ class SpectralField:
         """Alias-free product (3/2 zero-padding rule, or unpadded when the
         band bounds prove the result already fits)."""
         n = self.grid.n
-        if self.band + other.band <= n // 2 - 1:
-            phys = self.to_physical() * other.to_physical()
-            return SpectralField(self.grid,
-                                 np.fft.fft2(phys) / (n * n),
-                                 band=self.band + other.band)
-        phys = padded_physical(self.coef) * padded_physical(other.coef)
-        return SpectralField(self.grid, padded_spectral(phys, n))
+        band = self.band + other.band
+        m = n if band <= n // 2 - 1 else (3 * n) // 2
+        phys = _physical(self, m) * _physical(other, m)
+        return SpectralField(self.grid, padded_spectral(phys, n),
+                             band=band if m == n else None)
 
     def shift(self, s1: int, s2: int) -> "SpectralField":
         """Multiply by exp(i (s1, s2) . x): an exact frequency shift.
@@ -259,7 +278,7 @@ def _pad(coef: np.ndarray, m: int) -> np.ndarray:
     """Embed an n-band coefficient array into an m x m array (m >= n)."""
     n = coef.shape[0]
     if m == n:
-        return coef.copy()
+        return coef
     out = np.zeros((m, m), dtype=np.complex128)
     h = n // 2
     out[:h, :h] = coef[:h, :h]
@@ -273,7 +292,7 @@ def _truncate(coef: np.ndarray, n: int) -> np.ndarray:
     """Restrict an m x m coefficient array to the n x n band."""
     m = coef.shape[0]
     if m == n:
-        return coef.copy()
+        return coef
     out = np.zeros((n, n), dtype=np.complex128)
     h = n // 2
     out[:h, :h] = coef[:h, :h]
@@ -283,26 +302,55 @@ def _truncate(coef: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def padded_physical(coef: np.ndarray) -> np.ndarray:
+def _physical(f: SpectralField, m: int) -> np.ndarray:
+    """Samples of an n x n field on the m x m grid (m >= n): float64 from
+    the k2 >= 0 half when the field's samples are real, complex otherwise."""
+    c = f.coef
+    if not f.real_samples:
+        return np.fft.ifft2(_pad(c, m)) * (m * m)
+    h = f.grid.nyquist
+    half = np.zeros((m, m // 2 + 1), dtype=np.complex128)
+    half[:h, :h] = c[:h, :h]
+    half[m - h + 1:, :h] = c[h + 1:, :h]
+    return np.fft.irfft2(half, s=(m, m)) * (m * m)
+
+
+def padded_physical(f: SpectralField) -> np.ndarray:
     """Samples of an n-band field on the 3/2-padded m x m grid."""
-    m = (3 * coef.shape[0]) // 2
-    return np.fft.ifft2(_pad(coef, m)) * (m * m)
+    return _physical(f, (3 * f.grid.n) // 2)
 
 
 def padded_spectral(phys: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of 3/2-grid samples, truncated to the n x n band."""
+    """Coefficients of m x m samples (m >= n), truncated to the n x n band.
+
+    Float samples take ``rfft2``; the k2 < 0 columns then follow from
+    c[xi] = conj(c[-xi]), read on views of the half spectrum.
+    """
     m = phys.shape[0]
-    return _truncate(np.fft.fft2(phys) / (m * m), n)
+    if np.iscomplexobj(phys):
+        return _truncate(np.fft.fft2(phys) / (m * m), n)
+    r = np.fft.rfft2(phys)
+    r /= m * m
+    h = n // 2
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:h, :h] = r[:h, :h]
+    out[h:, :h] = r[m - h:, :h]
+    # column k2 = q - n (h <= q < n) is the conjugate of column n - q at -k1:
+    # rows 0, 1..h-1 and h..n-1 mirror rows 0, m-1..m-h+1 and h..1
+    np.conj(r[0, h:0:-1], out=out[0, h:])
+    np.conj(r[m - 1:m - h:-1, h:0:-1], out=out[1:h, h:])
+    np.conj(r[h:0:-1, h:0:-1], out=out[h:, h:])
+    return out
 
 
 def modulus(fields) -> np.ndarray:
     """Pointwise Euclidean modulus of the components on the 3/2 grid."""
     fields = tuple(fields)
     if len(fields) == 1:
-        return np.abs(padded_physical(fields[0].coef))
+        return np.abs(padded_physical(fields[0]))
     tot = None
     for f in fields:
-        sq = np.abs(padded_physical(f.coef)) ** 2
+        sq = np.abs(padded_physical(f)) ** 2
         tot = sq if tot is None else tot + sq
     return np.sqrt(tot)
 

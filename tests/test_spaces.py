@@ -6,7 +6,7 @@ import pytest
 from torusns.spaces import (LittlewoodPaley, besov_norm, block_lp_norms,
                             bmo_inv_norm, chemin_lerner_norm, cn_norm,
                             oscillatory_bound_check, smooth_step)
-from torusns.spectral import Grid, SpectralField
+from torusns.spectral import Grid, SpectralField, VectorField
 
 GRID = Grid(128)
 
@@ -113,6 +113,15 @@ def test_cn_norm_single_mode():
     assert abs(cn_norm(f, 0) - 1.0) <= 1e-12
     assert abs(cn_norm(f, 1) - 4.0) <= 1e-11
     assert abs(cn_norm(f, 2) - 13.0) <= 1e-10
+
+
+def test_cn_norm_vector_is_sup_of_modulus():
+    # v = (cos x1, sin x1): |v| = 1 everywhere, while the component sups
+    # would give hypot(1, 1)
+    v = VectorField(SpectralField.from_modes(GRID, {(1, 0): 0.5, (-1, 0): 0.5}),
+                    SpectralField.from_modes(GRID, {(1, 0): -0.5j, (-1, 0): 0.5j}))
+    assert abs(cn_norm(v, 0) - v.sup_norm()) <= 1e-12
+    assert abs(v.sup_norm() - 1.0) <= 1e-12
 
 
 def test_bmo_inv_homogeneity_and_embedding_direction():

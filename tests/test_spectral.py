@@ -1,11 +1,15 @@
 """Core transform layer: exactness of derivatives, products, projections."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusns.spectral import (Grid, MatrixField, SpectralField, VectorField,
-                              calderon_lift, fit_grid, leray_project)
+                              _pad, _truncate, calderon_lift, fit_grid,
+                              leray_project, padded_physical, padded_spectral)
 
 GRID = Grid(64)
 
@@ -20,6 +24,18 @@ def random_field(rng, grid=GRID, band=10, real=True):
         if real:
             modes[(-k1, -k2)] = modes.get((-k1, -k2), 0) + np.conj(c)
     return SpectralField.from_modes(grid, modes)
+
+
+def mode_sum(f, m=96):
+    """Brute-force samples of f on the m x m grid: the explicit sum of its
+    modes, each at the frequency ``Grid.k`` gives its index (no FFT)."""
+    x = np.arange(m) * (2 * np.pi / m)
+    p = np.zeros((m, m), dtype=complex)
+    for (i, j), c in np.ndenumerate(f.coef):
+        if c != 0:
+            k1, k2 = f.grid.k[i], f.grid.k[j]
+            p += c * np.exp(1j * (k1 * x[:, None] + k2 * x[None, :]))
+    return p
 
 
 @pytest.fixture
@@ -153,17 +169,57 @@ def test_matrix_sup_norm_is_pointwise_modulus(rng):
     m = MatrixField(random_field(rng), random_field(rng, real=False),
                     random_field(rng), random_field(rng, band=20))
     # brute force: each component sampled on the 3/2 grid, 96 x 96 here
-    x = np.arange(96) * (2 * np.pi / 96)
-    tot = np.zeros((96, 96))
-    for comp in (m.a11, m.a12, m.a21, m.a22):
-        p = np.zeros((96, 96), dtype=complex)
-        for (i, j), c in np.ndenumerate(comp.coef):
-            if c != 0:
-                k1, k2 = GRID.k[i], GRID.k[j]
-                p += c * np.exp(1j * (k1 * x[:, None] + k2 * x[None, :]))
-        tot += np.abs(p) ** 2
+    tot = sum(np.abs(mode_sum(comp)) ** 2 for comp in m)
     expect = np.sqrt(tot).max()
     assert abs(m.sup_norm() - expect) <= 1e-12 * expect
+
+
+def test_real_field_takes_real_samples(rng):
+    f = random_field(rng, band=31)
+    p = padded_physical(f)
+    assert p.dtype == np.float64
+    ref = np.fft.ifft2(_pad(f.coef, 96)) * 96 ** 2
+    assert np.abs(p - ref.real).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_nyquist_content_keeps_complex_samples():
+    # Hermitian, but _pad embeds the Nyquist row on one side only, so the
+    # samples on the 3/2 grid are not real
+    c = SpectralField.from_modes(GRID, {(3, 1): 1 + 1j, (-3, -1): 1 - 1j}).coef
+    c[32, 0] = 0.7
+    f = SpectralField(GRID, c)
+    assert f.is_real()
+    assert np.iscomplexobj(padded_physical(f))
+    expect = np.abs(mode_sum(f)).max()
+    assert abs(f.sup_norm() - expect) <= 1e-12 * expect
+
+
+def test_anti_hermitian_part_keeps_complex_samples(rng):
+    c = random_field(rng).coef
+    c[5, 2] += 1e-9 * np.abs(c).max()
+    f = SpectralField(GRID, c)
+    assert np.iscomplexobj(padded_physical(f))
+    expect = np.abs(mode_sum(f)).max()
+    assert abs(f.sup_norm() - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize("m", [64, 96])
+def test_padded_spectral_of_float_samples(rng, m):
+    phys = rng.standard_normal((m, m))
+    ref = _truncate(np.fft.fft2(phys) / m ** 2, 64)
+    got = padded_spectral(phys, 64)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("band", [15, 31])
+def test_real_product_matches_complex_path(rng, band):
+    # band 15: the product fits unpadded (m = n); band 31: 3/2 padding
+    f, g = random_field(rng, band=band), random_field(rng, band=band)
+    got = f.product(g)
+    ref = SpectralField(GRID, f.coef, real=False).product(
+        SpectralField(GRID, g.coef, real=False))
+    assert got.band == ref.band
+    assert np.abs(got.coef - ref.coef).max() <= 1e-14 * np.abs(ref.coef).max()
 
 
 def test_l2_norm_parseval(rng):
@@ -241,3 +297,63 @@ def test_perp_gradient_is_solenoidal(seed):
     rng = np.random.default_rng(seed)
     w = random_field(rng).perp_gradient()
     assert w.divergence().sup_norm() <= 1e-11 * max(w.sup_norm(), 1.0)
+
+
+#: numpy.fft / scipy.fft transforms; only spectral.py may call them
+TRANSFORMS = {f"{lib}.{fn}" for lib in ("numpy.fft", "scipy.fft")
+              for fn in ("fft2", "ifft2", "rfft2", "irfft2",
+                         "fftn", "ifftn", "rfftn", "irfftn")}
+#: (module, function) allowed its own unpadded transforms
+TRANSFORM_ALLOWED = {("spaces.py", "bmo_inv_norm")}
+
+
+def _transform_uses(path):
+    """(function, dotted name) of every transform or _pad/_truncate use."""
+    tree = ast.parse(path.read_text())
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                alias[a.asname or a.name.split(".")[0]] = \
+                    a.name if a.asname else a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            for a in node.names:
+                alias[a.asname or a.name] = f"{base}.{a.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return alias.get(node.id, node.id)
+        if isinstance(node, ast.Attribute):
+            head = dotted(node.value)
+            return head and f"{head}.{node.attr}"
+        return None
+
+    uses = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = func or node.name
+        name = dotted(node) if isinstance(node, (ast.Name, ast.Attribute)) \
+            else None
+        if name in TRANSFORMS:
+            uses.append((func, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    for name in alias.values():
+        if name.endswith(("spectral._pad", "spectral._truncate")):
+            uses.append((None, name))
+    return uses
+
+
+def test_transforms_are_owned_by_spectral():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "torusns"
+    assert (src / "spectral.py").is_file()
+    stray = [(path.name, func, name)
+             for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
+             for func, name in _transform_uses(path)
+             if (path.name, func) not in TRANSFORM_ALLOWED]
+    assert stray == []
+    assert _transform_uses(src / "spectral.py")

@@ -18,14 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .geometry import ID_WEIGHTS, LAMBDA, pair_weight_functionals, perp
+from .geometry import (ID_WEIGHTS, LAMBDA, integer_frequency,
+                       pair_weight_functionals, perp)
 from .profile import ConcentrationProfile
 from .schedule import ParamSchedule
 from .spectral import (Grid, MatrixField, SpectralField, VectorField,
-                       components, fit_grid)
+                       fit_grid)
 from .timefield import ExpSeries, mollify_time
 
 
@@ -33,20 +35,10 @@ from .timefield import ExpSeries, mollify_time
 # basic helpers
 # ---------------------------------------------------------------------------
 
-def _int_vec(k, scale: int) -> tuple:
-    v1 = Fraction(k[0]) * scale
-    v2 = Fraction(k[1]) * scale
-    if v1.denominator != 1 or v2.denominator != 1:
-        raise ValueError(f"{scale} does not clear denominators of {k}")
-    return int(v1), int(v2)
-
-
 def sin_shear(grid: Grid, lam: int) -> VectorField:
     """lam sin(lam x1) e2, the seed shear profile."""
-    z = SpectralField.zero(grid)
-    s = SpectralField.from_modes(
-        grid, {(lam, 0): -0.5j * lam, (-lam, 0): 0.5j * lam})
-    return VectorField(z, s)
+    a = np.array([0.0, 0.5j * lam])
+    return VectorField.from_modes(grid, {(lam, 0): -a, (-lam, 0): a})
 
 
 def series_sup(series: ExpSeries) -> float:
@@ -62,7 +54,7 @@ def heat_mode_residual(grid: Grid, lam: int, times=(0.0, 1e-4, 1e-3)) -> float:
     """
     worst = 0.0
     for k in LAMBDA.elements:
-        v = _int_vec(k, lam)
+        v = integer_frequency(k, lam)
         f = SpectralField.from_modes(grid, {v: 1.0})
         series = ExpSeries({float(lam) ** 2: f})
         resid = series.dt() + series.map(lambda g: -1.0 * g.laplacian())
@@ -89,11 +81,9 @@ def mollify_spacetime(series: ExpSeries, ell: float) -> ExpSeries:
     return mollify_time(spatial, ell)
 
 
-def _headroom_grid(series: ExpSeries, factor: int) -> Grid:
-    """Smallest power-of-two grid resolving ``factor``-fold products."""
-    b = max(f.band for f in series.terms.values())
-    n = 64
-    while n // 2 - 1 < factor * b:
+def _grid_for(band: int, n: int = 64) -> Grid:
+    """Smallest power-of-two grid, at least n, resolving ``band``."""
+    while n // 2 - 1 < band:
         n *= 2
     return Grid(n)
 
@@ -107,7 +97,7 @@ def _sqrt_series(const: float, series: ExpSeries) -> ExpSeries:
     guarantees ~1e-6 here).
     """
     root = math.sqrt(const)
-    wide = _headroom_grid(series, 2)
+    wide = _grid_for(2 * max(f.band for f in series.terms.values()))
     v = (1.0 / const) * series.map(lambda f: f.regrid(wide))
     v2 = v.combine(v, lambda a, b: a.product(b))
     one = SpectralField.from_modes(wide, {(0, 0): 1.0})
@@ -197,11 +187,12 @@ class LevelState:
     def total_w(self, t: float, grid: Grid) -> VectorField:
         """w_m(t) = (w_p + w_s + w_ns)(t) on the requested grid.
 
-        Past the end of the computed corrector window the corrector is
-        extended by the heat flow alone: its forcing decays like
-        e^{-2 lam^2 t} and the advecting field like e^{-lam_prev^2 t},
-        so for t far beyond both time scales free decay is the dominant
-        behaviour.  The driver ledger records the window.
+        Inside the computed corrector window the corrector is read from
+        its stored steps, linear in time between two of them.  Past the end
+        of the window it is extended by the heat flow alone: its forcing
+        decays like e^{-2 lam^2 t} and the advecting field like
+        e^{-lam_prev^2 t}, so for t far beyond both time scales free decay
+        is the dominant behaviour.  The driver ledger records the window.
         """
         out = self.w_p.at(t).regrid(grid)
         if self.w_s is not None:
@@ -209,7 +200,7 @@ class LevelState:
         if self.w_ns is not None and self.w_ns.times:
             t_last = self.w_ns.times[-1]
             if t <= t_last:
-                state = self.w_ns.state_at(t)
+                state = self.w_ns.interpolate(t)
             else:
                 state = self.w_ns.states[-1].heat(t - t_last)
             out = out + state.regrid(grid)
@@ -245,7 +236,7 @@ def _pair_data(lam: int):
         kf = np.array([float(Fraction(pair[0])), float(Fraction(pair[1]))])
         kb = perp(pair)
         kbf = np.array([float(Fraction(kb[0])), float(Fraction(kb[1]))])
-        out.append((kf, kbf, _int_vec(pair, lam)))
+        out.append((kf, kbf, integer_frequency(pair, lam)))
     return out
 
 
@@ -341,22 +332,16 @@ class EvenLevelBuilder:
                     mod = lambda f: f.shift(s * kv[0], s * kv[1])
                     ikb = 1j * s * kbf
                     gm = mod(gb)
-                    main_t = VectorField(ikb[0] * gm, ikb[1] * gm)
+                    main_t = ikb * gm
                     # curl E_k = -lam e^{i lam k.x} for every direction
                     stream_t = (-lam) * gm
-                    rem_t = VectorField(
-                        (-1.0 / lam) * ikb[0] * mod(lap),
-                        (-1.0 / lam) * ikb[1] * mod(lap))
+                    rem_t = ((-1.0 / lam) * ikb) * mod(lap)
                     # -2i (grad G . k_s) E_{k_s}: the two direction signs
                     # cancel, leaving +2 (grad G . k) kbar per sign
                     dk = kf[0] * grad.u1 + kf[1] * grad.u2
-                    dkm = mod(dk)
-                    rem_t = rem_t + VectorField(
-                        2.0 * kbf[0] * dkm, 2.0 * kbf[1] * dkm)
-                    rem3 = VectorField(mod(pgrad.u1), mod(pgrad.u2))
-                    rem3 = (-1.0 / lam ** 3) * VectorField(
-                        (-lam) * rem3.u1.laplacian(),
-                        (-lam) * rem3.u2.laplacian())
+                    rem_t = rem_t + (2.0 * kbf) * mod(dk)
+                    rem3 = (-1.0 / lam ** 3) * (
+                        (-lam) * mod(pgrad).laplacian())
                     main = main + ExpSeries({r: lam * main_t})
                     rem = rem + ExpSeries({r: rem_t + rem3})
                     stream = stream + ExpSeries({r: stream_t})
@@ -366,14 +351,9 @@ class EvenLevelBuilder:
         for r, s_field in stream.terms.items():
             base = (-1.0 / lam ** 3) * s_field
             pg = base.perp_gradient()
-            wp = wp + ExpSeries(
-                {r: fit_grid(VectorField(pg.u1.laplacian(), pg.u2.laplacian()))})
-            g11 = pg.u1.dx(0)
-            g12 = pg.u1.dx(1)
-            g21 = pg.u2.dx(0)
-            g22 = pg.u2.dx(1)
-            lift = lift + ExpSeries({r: fit_grid(MatrixField(
-                2.0 * g11, g12 + g21, g12 + g21, 2.0 * g22))})
+            wp = wp + ExpSeries({r: fit_grid(pg.laplacian())})
+            g = pg.gradient()
+            lift = lift + ExpSeries({r: fit_grid(g + g.transpose())})
         state.w_p = wp.scale_rates(rate_shift)
         state.R_wp = lift.scale_rates(rate_shift)
         state.w_p_main = ExpSeries(
@@ -391,13 +371,9 @@ class EvenLevelBuilder:
         for (kf, kbf, kv), amp in zip(self.pairs, amps):
             kb_outer = np.outer(kbf, kbf)
             for r, f in amp.raw_sq.terms.items():
-                big = f
-                mat = MatrixField(
-                    kb_outer[0, 0] * big, kb_outer[0, 1] * big,
-                    kb_outer[1, 0] * big, kb_outer[1, 1] * big)
                 # both elements of the pair carry the same tensor
                 tensor = tensor + ExpSeries(
-                    {r: (2000.0 * state.C0) * mat.row_divergence()})
+                    {r: (2000.0 * state.C0) * (kb_outer * f).divergence()})
         state.w_s_tensor = ExpSeries(
             {r: fit_grid(f) for r, f in tensor.terms.items()}
         ).scale_rates(2.0 * lam2)
@@ -415,17 +391,16 @@ class EvenLevelBuilder:
         lam2 = lam * lam
         grid = self.grid
         n = grid.n
-        f11_acc: dict = {}   # rate -> [c1, c2]
-        p11_acc: dict = {}   # rate -> c
+        f11_acc: dict = {}   # rate -> (2, n, n) vector coefficients
+        p11_acc: dict = {}   # rate -> (n, n) scalar coefficients
 
-        def acc(store, rate, width):
+        def acc(store, rate, shape):
             if rate not in store:
-                store[rate] = [np.zeros((n, n), dtype=complex)
-                               for _ in range(width)]
+                store[rate] = np.zeros(shape + (n, n), dtype=complex)
             return store[rate]
 
         def roll(c, v):
-            return np.roll(c, (v[0], v[1]), axis=(0, 1))
+            return np.roll(c, (v[0], v[1]), axis=(-2, -1))
 
         npairs = len(self.pairs)
         for a in range(npairs):
@@ -435,12 +410,13 @@ class EvenLevelBuilder:
                 signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)] if a != b \
                     else [(1, 1), (-1, -1)]
                 kdot = float(kba @ kbb)
+                ka, kb = kba[:, None, None], kbb[:, None, None]
                 for ra, ga in envelopes[a].terms.items():
                     for rb, gb in envelopes[b].terms.items():
                         u = ga.regrid(grid).product(gb.regrid(grid))
                         r = ra + rb
-                        gu = u.gradient()
-                        gu1, gu2 = gu.u1.coef, gu.u2.coef
+                        gu = u.gradient().coef
+                        gu1, gu2 = gu
                         band = u.band
                         gka = kba[0] * gu1 + kba[1] * gu2
                         gkb = gka if a == b else kbb[0] * gu1 + kbb[1] * gu2
@@ -457,21 +433,17 @@ class EvenLevelBuilder:
                                 return cache[s]
                             dot = s * kdot
                             if _a != _b:
-                                f1i = lam2 * ((dot - 1.0) * gu1 - s * (
-                                    kba[0] * gkb + kbb[0] * gka))
-                                f2i = lam2 * ((dot - 1.0) * gu2 - s * (
-                                    kba[1] * gkb + kbb[1] * gka))
+                                fi = lam2 * ((dot - 1.0) * gu - s * (
+                                    ka * gkb + kb * gka))
                             else:
-                                f1i = lam2 * (0.5 * (dot - 1.0) * gu1 -
-                                              s * kba[0] * gka)
-                                f2i = lam2 * (0.5 * (dot - 1.0) * gu2 -
-                                              s * kba[1] * gka)
+                                fi = lam2 * (0.5 * (dot - 1.0) * gu -
+                                             s * ka * gka)
                             # the pressure term is order-symmetric, so
                             # off-diagonal combinations pick it up twice
                             p_coef = -0.5 * lam2 * (dot - 1.0) * \
                                 (2.0 if _a != _b else 1.0)
                             pi = None if dot == 1.0 else p_coef * u.coef
-                            cache[s] = (pi, f1i, f2i)
+                            cache[s] = (pi, fi)
                             return cache[s]
 
                         for (sa, sb) in signs:
@@ -483,12 +455,12 @@ class EvenLevelBuilder:
                                 raise ValueError(
                                     "quadratic interaction leaves the grid "
                                     f"band (band {band}, shift {va}, n={n})")
-                            pi, f1i, f2i = integrand(sa * sb)
+                            pi, fi = integrand(sa * sb)
                             if pi is not None:
-                                acc(p11_acc, r, 1)[0] += roll(pi, va)
-                            fc = acc(f11_acc, r, 2)
-                            fc[0] += roll(f1i, va)
-                            fc[1] += roll(f2i, va)
+                                pc = acc(p11_acc, r, ())
+                                pc += roll(pi, va)
+                            fc = acc(f11_acc, r, (2,))
+                            fc += roll(fi, va)
                         del u, gu, gu1, gu2, gka, gkb, cache
 
         # mollification gap and profile-oscillation parts go into the
@@ -500,7 +472,8 @@ class EvenLevelBuilder:
             phi_sq = big_phi.product(big_phi)
             del big_phi
             scaled_amp = (1.0 / math.sqrt(2000.0 * C0)) * amp.amp
-            wide = _headroom_grid(scaled_amp, 2)
+            wide = _grid_for(
+                2 * max(f.band for f in scaled_amp.terms.values()))
             scaled_amp = scaled_amp.map(lambda f: f.regrid(wide))
             mol_sq = scaled_amp.combine(
                 scaled_amp, lambda f, g: f.product(g))
@@ -511,52 +484,27 @@ class EvenLevelBuilder:
             for series, weight_field in pieces:
                 for r, f in series.terms.items():
                     sc = weight_field.product(f.regrid(grid))
-                    mat = MatrixField(
-                        kb_outer[0, 0] * sc, kb_outer[0, 1] * sc,
-                        kb_outer[1, 0] * sc, kb_outer[1, 1] * sc)
-                    dv = mat.row_divergence()
-                    fc = acc(f11_acc, r, 2)
-                    fc[0] += scale12 * dv.u1.coef
-                    fc[1] += scale12 * dv.u2.coef
-                    del sc, mat, dv
+                    dv = (kb_outer * sc).divergence()
+                    fc = acc(f11_acc, r, (2,))
+                    fc += scale12 * dv.coef
+                    del sc, dv
             del phi_sq, osc, mol_sq, gap
 
         # cross interactions of the main/remainder split; their rates
         # already carry the common e^{-2 lam^2 t} of the two factors
         main, rem = state.w_p_main, state.w_p_rem
-        for rm, fm in main.terms.items():
-            fmb = fm.regrid(grid)
-            for rr, fr in rem.terms.items():
-                frb = fr.regrid(grid)
-                t = fmb.outer(frb)
-                dv = (t + t.transpose()).row_divergence()
-                fc = acc(f11_acc, rm + rr - 2.0 * lam2, 2)
-                fc[0] += dv.u1.coef
-                fc[1] += dv.u2.coef
-                del frb, t, dv
-            del fmb
-        for r1, f1_ in rem.terms.items():
-            f1b = f1_.regrid(grid)
-            for r2, f2_ in rem.terms.items():
-                if r2 < r1:
-                    continue
-                f2b = f2_.regrid(grid)
-                t = f1b.outer(f2b)
-                dv = t.row_divergence() if r1 == r2 else \
-                    (t + t.transpose()).row_divergence()
-                fc = acc(f11_acc, r1 + r2 - 2.0 * lam2, 2)
-                fc[0] += dv.u1.coef
-                fc[1] += dv.u2.coef
-                del f2b, t, dv
-            del f1b
+        for r, dv in chain(_sym_flux(main, rem, grid),
+                           _sym_flux(rem, None, grid)):
+            fc = acc(f11_acc, r - 2.0 * lam2, (2,))
+            fc += dv.coef
+            del dv
 
-        f1 = ExpSeries({r: VectorField(SpectralField(grid, c[0]),
-                                       SpectralField(grid, c[1]))
+        f1 = ExpSeries({r: SpectralField(grid, c)
                         for r, c in f11_acc.items()})
         prev_dt = self.prev.w_p.dt().scale_rates(2.0 * lam2)
         state.F1 = f1.scale_rates(2.0 * lam2) + prev_dt
         # P1 = P11 + P12;  P12 = 2000 C0 lam^2 chi^2 is spatially constant
-        p11 = ExpSeries({r: SpectralField(grid, c[0])
+        p11 = ExpSeries({r: SpectralField(grid, c)
                          for r, c in p11_acc.items()})
         p12 = ExpSeries({0.0: _const_field(grid, 2000.0 * C0 * lam2)})
         state.P1 = p11.scale_rates(2.0 * lam2) + p12.scale_rates(2.0 * lam2)
@@ -567,30 +515,30 @@ class EvenLevelBuilder:
         heat_resid = state.w_p.dt() + state.w_p.map(
             lambda f: -1.0 * f.laplacian())
         ws_lap = state.w_s.map(lambda f: -1.0 * f.laplacian())
-        def prod_grid(fa, fb):
-            need = max(f.band for f in fa) + max(f.band for f in fb)
-            n = max(fa.grid.n, fb.grid.n)
-            while n // 2 - 1 < need:
-                n *= 2
-            return Grid(n)
-
         cross = ExpSeries()
-        for r1, f1_ in state.w_p.terms.items():
-            for r2, f2_ in state.w_s.terms.items():
-                g = prod_grid(f1_, f2_)
-                t = f1_.regrid(g).outer(f2_.regrid(g))
-                cross = cross + ExpSeries(
-                    {r1 + r2: (t + t.transpose()).row_divergence()})
-        for r1, f1_ in state.w_s.terms.items():
-            for r2, f2_ in state.w_s.terms.items():
-                if r2 < r1:
-                    continue
-                g = prod_grid(f1_, f2_)
-                t = f1_.regrid(g).outer(f2_.regrid(g))
-                term = t.row_divergence() if r1 == r2 else \
-                    (t + t.transpose()).row_divergence()
-                cross = cross + ExpSeries({r1 + r2: term})
+        for r, dv in chain(_sym_flux(state.w_p, state.w_s),
+                           _sym_flux(state.w_s, None)):
+            cross = cross + ExpSeries({r: dv})
         state.F2 = heat_resid + ws_lap + cross
+
+
+def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
+    """(r + s, div(f (x) g + g (x) f)) over the terms f e^{-rt} of ``a`` and
+    g e^{-st} of ``b``; with ``b`` None, over the unordered pairs of terms
+    of ``a``, a pair of one term giving div(f (x) f).  The products are
+    taken on ``grid``, or on the smallest grid that resolves each pair."""
+    for r, f in a.terms.items():
+        for s, g in (a if b is None else b).terms.items():
+            if b is None and s < r:
+                continue
+            pg = grid or _grid_for(f.band + g.band,
+                                   max(f.grid.n, g.grid.n))
+            t = f.regrid(pg).outer(g.regrid(pg))
+            if b is not None or s != r:
+                t = t + t.transpose()
+            dv = t.divergence()
+            del t
+            yield r + s, dv
 
 
 def build_level(grid: Grid, schedule: ParamSchedule, m: int,
@@ -605,43 +553,31 @@ def build_level(grid: Grid, schedule: ParamSchedule, m: int,
 # identity checks
 # ---------------------------------------------------------------------------
 
+def _max_coef(fields) -> float:
+    """Largest coefficient magnitude over some fields."""
+    return max((np.abs(f.coef).max() for f in fields), default=0.0)
+
+
 def _series_scale(series: ExpSeries) -> float:
-    out = max((np.abs(c.coef).max() for f in series.terms.values()
-               for c in components(f)), default=0.0)
-    return max(out, 1e-300)
-
-
-def _series_diff(s1: ExpSeries, s2: ExpSeries) -> float:
-    """Max coefficient difference between two vector series (exact rates)."""
-    diff = s1 - s2
-    out = 0.0
-    for f in diff.terms.values():
-        out = max(out, np.abs(f.u1.coef).max(), np.abs(f.u2.coef).max())
-    return out
+    return max(_max_coef(series.terms.values()), 1e-300)
 
 
 def check_divergence(series: ExpSeries) -> float:
     """Max |div| coefficient over all terms, relative to the field scale."""
-    worst = 0.0
-    for f in series.terms.values():
-        d = f.divergence()
-        worst = max(worst, np.abs(d.coef).max())
-    return worst / _series_scale(series)
+    divs = (f.divergence() for f in series.terms.values())
+    return _max_coef(divs) / _series_scale(series)
 
 
 def check_split(state: LevelState) -> float:
     """Relative coefficient residual of main + remainder = w_p."""
-    total = state.w_p_main + state.w_p_rem
-    return _series_diff(total, state.w_p) / _series_scale(state.w_p)
+    resid = state.w_p_main + state.w_p_rem - state.w_p
+    return _max_coef(resid.terms.values()) / _series_scale(state.w_p)
 
 
 def check_ws_forms(state: LevelState) -> float:
     """Relative residual between the two closed forms of w_s."""
-    g = Grid(max(max(f.grid.n for f in state.w_s.terms.values()),
-                 max(f.grid.n for f in state.w_s_tensor.terms.values())))
-    a = ExpSeries({r: f.regrid(g) for r, f in state.w_s.terms.items()})
-    b = ExpSeries({r: f.regrid(g) for r, f in state.w_s_tensor.terms.items()})
-    return _series_diff(a, b) / _series_scale(state.w_s)
+    resid = state.w_s - state.w_s_tensor
+    return _max_coef(resid.terms.values()) / _series_scale(state.w_s)
 
 
 def check_initial_match(state: LevelState, prev: LevelState) -> float:
@@ -654,13 +590,9 @@ def check_initial_match(state: LevelState, prev: LevelState) -> float:
 
 def check_lift(state: LevelState) -> float:
     """Relative residual of div(R w_p) = w_p."""
-    worst = 0.0
-    for r, m in state.R_wp.terms.items():
-        d = m.row_divergence()
-        w = state.w_p.terms[r].regrid(d.grid)
-        worst = max(worst, np.abs((d - w).u1.coef).max(),
-                    np.abs((d - w).u2.coef).max())
-    return worst / _series_scale(state.w_p)
+    resid = (m.divergence() - state.w_p.terms[r].regrid(m.grid)
+             for r, m in state.R_wp.terms.items())
+    return _max_coef(resid) / _series_scale(state.w_p)
 
 
 def pressure_contract_residual(state: LevelState, grid: Grid,
@@ -674,7 +606,7 @@ def pressure_contract_residual(state: LevelState, grid: Grid,
     out = {}
     for t in times:
         w = state.w_p.at(t).regrid(grid)
-        quad = w.outer(w).row_divergence()
+        quad = w.outer(w).divergence()
         lhs = quad + ws_dt.at(t).regrid(grid)
         f1 = state.F1.at(t).regrid(grid)
         gp = state.P1.at(t).regrid(grid).gradient()

@@ -26,13 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, VectorField, MatrixField
+from .spectral import Grid, SpectralField, VectorField
 
 __all__ = [
     "DirectionSet",
     "LAMBDA",
     "GeometricDecompositionError",
     "decompose_matrix",
+    "integer_frequency",
     "pair_weight_functionals",
     "stationary_flow",
     "stationary_flow_identity_check",
@@ -103,6 +104,15 @@ def perp(k):
     return (-k[1], k[0])
 
 
+def integer_frequency(k, mu: int) -> tuple:
+    """The integer vector mu k; ``mu`` must clear the denominators of k."""
+    v1 = Fraction(k[0]) * mu
+    v2 = Fraction(k[1]) * mu
+    if v1.denominator != 1 or v2.denominator != 1:
+        raise ValueError(f"mu={mu} does not clear the denominators of k={k}")
+    return int(v1), int(v2)
+
+
 def pair_weight_functionals():
     """Exact linear functionals L_P with
     sum_P L_P(R) kbar_P tensor kbar_P = R for symmetric trace-consistent R.
@@ -151,25 +161,9 @@ def decompose_matrix(R: np.ndarray, check_domain: bool = True):
     return out
 
 
-def reconstruct(coeffs) -> np.ndarray:
-    """sum_P a_P^2 kbar tensor kbar from a {pair: a_P} mapping."""
-    R = np.zeros((2, 2))
-    for pair, a in coeffs.items():
-        kb = np.array([float(x) for x in perp(pair)])
-        R += (float(a) ** 2) * np.outer(kb, kb)
-    return R
-
-
 # ---------------------------------------------------------------------------
 # Stationary flows
 # ---------------------------------------------------------------------------
-
-def _integer_freq(mu: int, k):
-    f1, f2 = mu * k[0], mu * k[1]
-    if Fraction(f1).denominator != 1 or Fraction(f2).denominator != 1:
-        raise ValueError(f"mu={mu} does not clear the denominators of {k}")
-    return int(f1), int(f2)
-
 
 def stationary_flow(grid: Grid, b, mu: int) -> VectorField:
     """W = sum_{k in Lambda} b_k (i kbar) e^{i mu k.x}.
@@ -178,16 +172,13 @@ def stationary_flow(grid: Grid, b, mu: int) -> VectorField:
     makes W real).  mu must clear all denominators (a multiple of 5 for the
     standard set).
     """
-    c1 = {}
-    c2 = {}
+    modes = {}
     for pair, bk in b.items():
         for k in (pair, (-pair[0], -pair[1])):
-            f = _integer_freq(mu, k)
-            kb = perp(k)
-            c1[f] = c1.get(f, 0.0) + 1j * float(kb[0]) * float(bk)
-            c2[f] = c2.get(f, 0.0) + 1j * float(kb[1]) * float(bk)
-    return VectorField(SpectralField.from_modes(grid, c1),
-                       SpectralField.from_modes(grid, c2))
+            f = integer_frequency(k, mu)
+            kb = np.array(perp(k), dtype=float)
+            modes[f] = modes.get(f, 0.0) + 1j * kb * float(bk)
+    return VectorField.from_modes(grid, modes)
 
 
 def stationary_flow_identity_check(grid: Grid, b, mu: int):
@@ -208,36 +199,33 @@ def stationary_flow_identity_check(grid: Grid, b, mu: int):
     theta_modes = {}
     for pair, bk in b.items():
         for k in (pair, (-pair[0], -pair[1])):
-            f = _integer_freq(mu, k)
+            f = integer_frequency(k, mu)
             theta_modes[f] = theta_modes.get(f, 0.0) + float(bk)
     theta = SpectralField.from_modes(grid, theta_modes)
 
     WW = W.outer(W)
-    lhs = WW.row_divergence()
-    press = 0.5 * (W.dot(W) + theta.product(theta))
+    lhs = WW.divergence()
+    press = 0.5 * (WW.a11 + WW.a22 + theta.product(theta))
     rhs = press.gradient()
     grad_res = (lhs - rhs).sup_norm()
 
     # expansion: sum over ordered element pairs
-    expansion = MatrixField.zero(grid)
     els = []
     for pair, bk in b.items():
         els.append((pair, float(bk)))
         els.append(((-pair[0], -pair[1]), float(bk)))
+    modes = {}
     for kj, bj in els:
         for kk, bk_ in els:
-            fj = _integer_freq(mu, kj)
-            fk = _integer_freq(mu, kk)
+            fj = integer_frequency(kj, mu)
+            fk = integer_frequency(kk, mu)
             f = (fj[0] + fk[0], fj[1] + fk[1])
-            jb = [float(x) for x in perp(kj)]
-            kb = [float(x) for x in perp(kk)]
             # (i jbar) tensor (i kbar) = - jbar tensor kbar; at resonance
             # j = -k this is +b_k^2 kbar tensor kbar since jbar = -kbar.
-            amp = -bj * bk_
-            mode = SpectralField.from_modes(grid, {f: amp})
-            expansion = expansion + MatrixField(
-                mode * (jb[0] * kb[0]), mode * (jb[0] * kb[1]),
-                mode * (jb[1] * kb[0]), mode * (jb[1] * kb[1]))
+            amp = -bj * bk_ * np.outer(np.array(perp(kj), dtype=float),
+                                       np.array(perp(kk), dtype=float))
+            modes[f] = modes.get(f, 0.0) + amp
+    expansion = SpectralField.from_modes(grid, modes)
     tensor_res = (WW - expansion).sup_norm()
 
     wsq = W.sup_norm() ** 2

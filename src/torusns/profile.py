@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
 import numpy as np
 
+from .geometry import integer_frequency
 from .schedule import ParamSchedule
 from .spaces import smooth_step
 from .spectral import Grid, SpectralField
@@ -160,22 +160,13 @@ class RealizedProfile:
         ``k`` is a direction with entries of denominator dividing ``mu``
         so every mode lands on an integer frequency.
         """
-        v1, v2 = _integer_frequency(k, mu)
+        v1, v2 = integer_frequency(k, mu)
         modes = {(0, 0): complex(self.coeffs[0])}
         for m in range(1, self.band + 1):
             a = complex(self.coeffs[m])
             modes[(m * v1, m * v2)] = a
             modes[(-m * v1, -m * v2)] = a
         return SpectralField.from_modes(grid, modes)
-
-
-def _integer_frequency(k: tuple, mu: int) -> tuple:
-    """The integer vector mu k; ``mu`` must clear the denominators of k."""
-    v1 = Fraction(k[0]) * mu
-    v2 = Fraction(k[1]) * mu
-    if v1.denominator != 1 or v2.denominator != 1:
-        raise ValueError(f"mu={mu} does not clear denominators of k={k}")
-    return int(v1), int(v2)
 
 
 def _wrap(theta: np.ndarray) -> np.ndarray:
@@ -261,7 +252,7 @@ class CutoffSystem:
         idx = np.arange(n)
 
         def member(rows, mu, k):
-            v1, v2 = _integer_frequency(k, mu)
+            v1, v2 = integer_frequency(k, mu)
             return code[np.add.outer((v1 * rows) % n, (v2 * idx) % n)]
 
         strips = fattened = 0

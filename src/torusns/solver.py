@@ -18,9 +18,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.integrate import simpson
 
-from .spectral import (Grid, MatrixField, SpectralField, VectorField,
-                       components, leray_project, padded_physical,
-                       padded_spectral)
+from .spectral import (Grid, SpectralField, VectorField, leray_project,
+                       padded_physical, padded_spectral)
 from .timefield import ExpSeries
 
 #: a run stops as ``blow-up`` once the sup bound exceeds this multiple
@@ -77,62 +76,75 @@ class Trajectory:
             self.times.append(t)
             self.states.append(state)
 
+    def _stored(self, t: float):
+        """Index of the stored time within 1e-9 of a step of ``t``, or None."""
+        gaps = np.abs(np.asarray(self.times) - t)
+        i = int(np.argmin(gaps))
+        return i if gaps[i] <= 1e-9 * self.dt else None
+
     def state_at(self, t: float):
-        """Stored state nearest to ``t`` (None on an empty trajectory)."""
+        """The state stored at time ``t`` (None on an empty trajectory);
+        a time not stored, beyond 1e-9 of a step, raises ValueError."""
         if not self.times:
             return None
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
+        i = self._stored(t)
+        if i is None:
+            raise ValueError(f"no state stored at t={t!r}")
         return self.states[i]
+
+    def interpolate(self, t: float):
+        """The state at a time ``t`` of the stored span: the stored one at a
+        stored time, else linear in time between the two stored around t
+        (second order in the storage step)."""
+        i = self._stored(t)
+        if i is not None:
+            return self.states[i]
+        j = int(np.searchsorted(self.times, t))
+        if j == 0 or j == len(self.times):
+            raise ValueError(f"t={t!r} is outside the stored span")
+        t0, t1 = self.times[j - 1], self.times[j]
+        a = (t - t0) / (t1 - t0)
+        return (1.0 - a) * self.states[j - 1] + a * self.states[j]
 
     @property
     def final_time(self) -> float:
         return self.step_times[-1] if self.step_times else 0.0
 
     def divergence_residual(self) -> float:
+        """Largest relative divergence over the stored velocity states."""
         worst = 0.0
         for s in self.states:
-            if isinstance(s, VectorField):
-                d = s.divergence()
-                scale = max(s.sup_norm(), 1e-300)
-                worst = max(worst, np.abs(d.coef).max() / scale)
+            scale = max(s.sup_norm(), 1e-300)
+            worst = max(worst, np.abs(s.divergence().coef).max() / scale)
         return worst
 
 
 def _sup_bound(state) -> float:
     """Cheap rigorous sup bound: sum of coefficient magnitudes."""
-    return max(float(np.abs(c.coef).sum()) for c in components(state))
+    return max(float(np.abs(c.coef).sum()) for c in state)
 
 
-def _lawson_step(state, t, dt, rhs, heat_full, heat_half):
-    """One step of the integrating-factor classical Runge-Kutta rule."""
-    k1 = rhs(t, state)
-    eu = heat_half(state)
-    k2 = rhs(t + 0.5 * dt, eu + (0.5 * dt) * heat_half(k1))
-    k3 = rhs(t + 0.5 * dt, eu + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, heat_full(state) + dt * heat_half(k3))
-    return heat_full(state) + (dt / 6.0) * (
-        heat_full(k1) + 2.0 * heat_half(k2 + k3) + k4)
+def _lawson_step(state, t, dt, rhs, full, half):
+    """One step of the integrating-factor classical Runge-Kutta rule.
 
-
-def _heat_factor(factor: np.ndarray):
-    """f -> e^{t Delta} f for the precomputed factor e^{-|xi|^2 t}.
-
-    The same product as ``heat(t)``, with the exponential taken once per
-    run instead of on every call.
+    ``full`` and ``half`` are the heat factors e^{-|xi|^2 dt} and
+    e^{-|xi|^2 dt/2}, taken once per run instead of by ``heat`` per call.
     """
-    def apply(f):
-        if isinstance(f, VectorField):
-            return VectorField(apply(f.u1), apply(f.u2))
-        return SpectralField(f.grid, factor * f.coef, band=f._band)
-    return apply
+    k1 = rhs(t, state)
+    eu = state.apply_symbol(half)
+    k2 = rhs(t + 0.5 * dt, eu + (0.5 * dt) * k1.apply_symbol(half))
+    k3 = rhs(t + 0.5 * dt, eu + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, state.apply_symbol(full) + dt * k3.apply_symbol(half))
+    return state.apply_symbol(full) + (dt / 6.0) * (
+        k1.apply_symbol(full) + 2.0 * (k2 + k3).apply_symbol(half) + k4)
 
 
 def _run(grid, config, state0, rhs, tag) -> Trajectory:
     dt = config.dt
     traj = Trajectory(grid=grid, dt=dt, forcing_record=tag)
     h = 2.0 * math.pi / grid.n
-    heat_full = _heat_factor(np.exp(-grid.ksq * dt))
-    heat_half = _heat_factor(np.exp(-grid.ksq * (0.5 * dt)))
+    full = np.exp(-grid.ksq * dt)
+    half = np.exp(-grid.ksq * (0.5 * dt))
     state = state0
     traj.append(0.0, state, store=True)
     scale0 = max(_sup_bound(state0), 1.0)
@@ -155,7 +167,7 @@ def _run(grid, config, state0, rhs, tag) -> Trajectory:
             traj.diagnostics["sup"] = sup
             traj.diagnostics["reached_t"] = t
             break
-        state = _lawson_step(state, t, dt, rhs, heat_full, heat_half)
+        state = _lawson_step(state, t, dt, rhs, full, half)
         step += 1
         t = step * dt
         traj.append(t, state, store=(step % config.store_every == 0
@@ -167,28 +179,26 @@ def _fused_advection(w: VectorField, U: VectorField | None) -> VectorField:
     """-div(w@w + w@U + U@w) with one shared 3/2-padded transform set.
 
     Mathematically identical to composing the dealiased products, but
-    each physical factor is transformed once per evaluation, which is
-    what makes full-band corrector steps affordable.
+    each velocity is transformed once per evaluation, in one call for
+    both components, and the flux returns in one call, which is what
+    makes full-band corrector steps affordable.
     """
-    grid = w.grid
-    w1, w2 = padded_physical(w.u1), padded_physical(w.u2)
-    if U is None:
-        t11 = w1 * w1
-        t12 = w1 * w2
-        t22 = w2 * w2
-    else:
-        u1, u2 = padded_physical(U.u1), padded_physical(U.u2)
-        t11 = w1 * (w1 + 2.0 * u1)
-        t12 = w1 * w2 + w1 * u2 + u1 * w2
-        t22 = w2 * (w2 + 2.0 * u2)
-
-    def spec(p):
-        return SpectralField(grid, padded_spectral(p, grid.n))
-
+    n = w.grid.n
     # the flux is symmetric: t21 = t12, so one transform serves both
-    s12 = spec(t12)
-    mat = MatrixField(spec(t11), s12, s12, spec(t22))
-    return -1.0 * mat.row_divergence()
+    c = padded_spectral(_flux_samples(w, U), n)
+    mat = SpectralField(w.grid, c[[0, 1, 1, 2]].reshape(2, 2, n, n))
+    return -1.0 * mat.divergence()
+
+
+def _flux_samples(w: VectorField, U: VectorField | None) -> np.ndarray:
+    """(t11, t12, t22) of w@w + w@U + U@w on the 3/2 grid, stacked; the
+    velocity samples are freed on return, before the flux goes back."""
+    w1, w2 = padded_physical(w)
+    if U is None:
+        return np.stack((w1 * w1, w1 * w2, w2 * w2))
+    u1, u2 = padded_physical(U)
+    return np.stack((w1 * (w1 + 2.0 * u1), w1 * w2 + w1 * u2 + u1 * w2,
+                     w2 * (w2 + 2.0 * u2)))
 
 
 def solve_forced_ns(grid: Grid, config: SolverConfig,
@@ -266,11 +276,7 @@ def heat_duhamel(forcing: ExpSeries, t: float, grid: Grid) -> VectorField:
         nz = dn != 0.0
         small[nz] = -np.expm1(-dn[nz] * t) / dn[nz]
         factor[near] = math.exp(-r * t) * small
-        pf = leray_project(f)
-        term = VectorField(
-            SpectralField(g, factor * pf.u1.coef, band=pf.u1._band),
-            SpectralField(g, factor * pf.u2.coef, band=pf.u2._band))
-        out = out - term.regrid(grid)
+        out = out - leray_project(f).apply_symbol(factor).regrid(grid)
     return out
 
 
@@ -300,7 +306,7 @@ def ns_residual(traj: Trajectory, pressure=None) -> float:
         dudt = (1.0 / (12.0 * dt)) * (
             traj.states[i - 2] - 8.0 * traj.states[i - 1]
             + 8.0 * traj.states[i + 1] - traj.states[i + 2])
-        nl = leray_project(u.outer(u).row_divergence())
+        nl = leray_project(u.outer(u).divergence())
         resid = dudt - u.laplacian() + nl
         scale = _c1_norm(u) * max(u.sup_norm(), 1e-300) + dudt.sup_norm()
         worst = max(worst, resid.sup_norm() / max(scale, 1e-300))
@@ -308,11 +314,7 @@ def ns_residual(traj: Trajectory, pressure=None) -> float:
 
 
 def _c1_norm(u: VectorField) -> float:
-    out = u.sup_norm()
-    for comp in (u.u1, u.u2):
-        g = comp.gradient()
-        out = max(out, g.u1.sup_norm(), g.u2.sup_norm())
-    return out
+    return max([u.sup_norm()] + [d.sup_norm() for d in u.gradient()])
 
 
 def energy_law_residual(traj: Trajectory) -> float:
@@ -324,13 +326,8 @@ def energy_law_residual(traj: Trajectory) -> float:
     if len(traj.states) < 2:
         raise ValueError("need at least 2 stored states")
     e = [s.l2_norm() ** 2 for s in traj.states]
-    diss = []
-    for s in traj.states:
-        g = 0.0
-        for comp in (s.u1, s.u2):
-            for d in comp.gradient():
-                g += d.l2_norm() ** 2
-        diss.append(g)
+    diss = [sum(d.l2_norm() ** 2 for d in s.gradient())
+            for s in traj.states]
     dt = traj.times[1] - traj.times[0]
     integral = float(simpson(diss, dx=dt))
     return abs(e[-1] - e[0] + 2.0 * integral) / max(e[0], 1e-300)
@@ -343,11 +340,9 @@ def energy_law_residual(traj: Trajectory) -> float:
 def taylor_green(grid: Grid, t: float = 0.0) -> VectorField:
     """e^{-2t} (cos x1 sin x2, -sin x1 cos x2): exact NS solution."""
     a = 0.25 * math.exp(-2.0 * t)
-    u1 = SpectralField.from_modes(grid, {
-        (1, 1): -1j * a, (1, -1): 1j * a, (-1, 1): -1j * a, (-1, -1): 1j * a})
-    u2 = SpectralField.from_modes(grid, {
-        (1, 1): 1j * a, (1, -1): 1j * a, (-1, 1): -1j * a, (-1, -1): -1j * a})
-    return VectorField(u1, u2)
+    return VectorField.from_modes(grid, {
+        (1, 1): a * np.array([-1j, 1j]), (1, -1): a * np.array([1j, 1j]),
+        (-1, 1): a * np.array([-1j, -1j]), (-1, -1): a * np.array([1j, -1j])})
 
 
 def taylor_green_error(grid: Grid, dt: float, t_end: float = 1.0) -> float:
@@ -369,7 +364,6 @@ def manufactured_error(grid: Grid, dt: float, t_end: float = 1.0) -> float:
     """
     s2 = SpectralField.from_modes(grid, {(0, 1): -0.5j, (0, -1): 0.5j})
     s1 = SpectralField.from_modes(grid, {(1, 0): -0.5j, (-1, 0): 0.5j})
-    zero = SpectralField.zero(grid)
 
     def a(t):
         return 3.0 * math.exp(-t)
@@ -391,7 +385,7 @@ def manufactured_error(grid: Grid, dt: float, t_end: float = 1.0) -> float:
         u = exact(t)
         dudt = VectorField(da(t) * s2, db(t) * s1)
         resid = dudt - u.laplacian() + leray_project(
-            u.outer(u).row_divergence())
+            u.outer(u).divergence())
         # solver subtracts P F, so hand it -resid
         return -1.0 * resid
 

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, components, modulus
+from .geometry import integer_frequency
+from .spectral import Grid, SpectralField, modulus
 
 __all__ = [
     "smooth_step",
@@ -54,44 +55,37 @@ class LittlewoodPaley:
         self.grid = grid
         kmax = math.sqrt(2.0) * grid.nyquist
         self.j_top = int(math.ceil(math.log2(kmax))) + 1
-        self._weights = _block_weights(grid.n, self.j_top)
+        self._index, self._tables = _block_weights(grid.n, self.j_top)
 
     @property
     def blocks(self):
         return range(0, self.j_top + 1)
 
-    def block(self, f: SpectralField, j: int) -> SpectralField:
+    def weight(self, j: int) -> np.ndarray:
+        """The n x n Fourier weight of block j."""
         if not 0 <= j <= self.j_top:
             raise ValueError(f"block index {j} out of range")
-        # the weights are real and even in xi, so a real field's blocks are
-        # real; a block of any other field may still be, and tests itself
-        return SpectralField(self.grid, f.coef * self._weights[j],
-                             real=f.real_samples or None)
+        return self._tables[j][self._index]
 
 
 @lru_cache(maxsize=8)
 def _block_weights(n: int, j_top: int):
-    grid = Grid(n)
-    ksq = grid.ksq
+    """Each point's index into the distinct |xi|^2 of the grid, and one
+    table of weights over them per block (the weights are radial), so the
+    cache holds one n x n array per grid, not one per block."""
+    ksq, index = np.unique(Grid(n).ksq, return_inverse=True)
     u = np.full_like(ksq, -40.0)
     nz = ksq > 0
     u[nz] = 0.5 * np.log2(ksq[nz])
-    weights = []
+    tables = []
     for j in range(j_top + 1):
         if j < j_top:
             w = smooth_step(u - j + 1) - smooth_step(u - j)
         else:
             w = smooth_step(u - j + 1)
-        w[0, 0] = 0.0
-        weights.append(w)
-    return tuple(weights)
-
-
-def _as_scalar_blocks(f, lp, j):
-    blocks = [lp.block(c, j) for c in components(f)]
-    if not any(b.coef.any() for b in blocks):
-        return np.zeros((1, 1))
-    return modulus(blocks)
+        w[0] = 0.0    # the mean mode: |xi|^2 = 0 sorts first
+        tables.append(w)
+    return index.reshape(n, n).astype(np.int32), tuple(tables)
 
 
 def _lp_of_samples(samples: np.ndarray, p: float) -> float:
@@ -102,10 +96,13 @@ def _lp_of_samples(samples: np.ndarray, p: float) -> float:
 
 
 def block_lp_norms(f, p: float) -> np.ndarray:
-    """||Delta_j f||_{L^p} for every block j."""
+    """||Delta_j f||_{L^p} for every block j; 0 for a block whose weight
+    misses every nonzero coefficient of f, which is not sampled."""
     lp = LittlewoodPaley(f.grid)
-    return np.array([_lp_of_samples(_as_scalar_blocks(f, lp, j), p)
-                     for j in lp.blocks])
+    live = f.coef.reshape((-1,) + f.coef.shape[-2:]).any(axis=0)
+    weights = (lp.weight(j) for j in lp.blocks)
+    return np.array([_lp_of_samples(modulus(f, w), p) if w[live].any()
+                     else 0.0 for w in weights])
 
 
 def besov_norm(f, s: float, p: float, q: float) -> float:
@@ -150,19 +147,15 @@ def chemin_lerner_norm(times, fields, s: float, p: float, q: float,
 def cn_norm(f, n_order: int) -> float:
     """C^N norm: sum over orders m <= N of the max over multi-indices
     |sigma| = m of sup |d^sigma f|."""
+    g = f.grid
     total = 0.0
     for m in range(n_order + 1):
         best = 0.0
         for a in range(m + 1):
-            d = [_deriv_many(c, a, m - a) for c in components(f)]
-            best = max(best, float(modulus(d).max()))
+            d = f.coef * (1j * g.k1) ** a * (1j * g.k2) ** (m - a)
+            best = max(best, float(modulus(SpectralField(g, d)).max()))
         total += best
     return float(total)
-
-
-def _deriv_many(f: SpectralField, a1: int, a2: int) -> SpectralField:
-    c = f.coef * (1j * f.grid.k1) ** a1 * (1j * f.grid.k2) ** a2
-    return SpectralField(f.grid, c, band=f._band)
 
 
 def bmo_inv_norm(f, centers: int = 16, s_nodes: int = 16,
@@ -177,12 +170,10 @@ def bmo_inv_norm(f, centers: int = 16, s_nodes: int = 16,
     with the disc indicator).  Log-spaced s quadrature.  Exactly
     1-homogeneous by construction.  Requires mean zero.
     """
-    comps = components(f)
     grid = f.grid
-    scale = max(max(np.abs(c.coef).max() for c in comps), 1e-300)
-    for c in comps:
-        if abs(c.coef[0, 0]) > mean_tol * scale:
-            raise ValueError("bmo_inv_norm requires a mean-zero field")
+    scale = max(np.abs(f.coef).max(), 1e-300)
+    if np.abs(f.coef[..., 0, 0]).max() > mean_tol * scale:
+        raise ValueError("bmo_inv_norm requires a mean-zero field")
     n = grid.n
     x1, x2 = grid.points()
     d1 = np.minimum(x1, 2.0 * np.pi - x1)
@@ -197,10 +188,8 @@ def bmo_inv_norm(f, centers: int = 16, s_nodes: int = 16,
         svals = np.geomspace(r * r * 1e-6, r * r, s_nodes)
         integrand = []
         for s in svals:
-            tot = np.zeros((n, n))
-            for c in comps:
-                u = np.fft.ifft2(np.exp(-grid.ksq * s) * c.coef) * (n * n)
-                tot += np.abs(u) ** 2
+            u = np.fft.ifft2(np.exp(-grid.ksq * s) * f.coef) * (n * n)
+            tot = (np.abs(u) ** 2).reshape(-1, n, n).sum(axis=0)
             h2 = (2.0 * np.pi / n) ** 2
             conv = np.fft.ifft2(np.fft.fft2(tot) * mask_hat).real * h2
             integrand.append(conv)
@@ -219,14 +208,11 @@ def oscillatory_bound_check(envelope, k, lam: int, grid: Grid | None = None):
     """Compare ||f e^{i lam k.x}||_{B^{-1}_{inf,inf}} with the modulation
     bound lam^{-1} ||f||_inf + lam^{-2} ||f||_{C^2}.
 
-    `envelope` is a SpectralField f, `k` an integer frequency direction
-    (lam k must be an integer vector).  Returns (lhs, rhs, ratio).
+    `envelope` is a SpectralField f, `k` a rational direction with lam k
+    an integer vector (else ValueError).  Returns (lhs, rhs, ratio).
     """
     f = envelope
-    s1, s2 = int(round(lam * k[0])), int(round(lam * k[1]))
-    if abs(lam * k[0] - s1) > 1e-9 or abs(lam * k[1] - s2) > 1e-9:
-        raise ValueError("lam * k must be an integer frequency")
-    mod = f.shift(s1, s2)
+    mod = f.shift(*integer_frequency(k, lam))
     lhs = besov_norm(mod, -1.0, np.inf, np.inf)
     rhs = (1.0 / lam) * f.sup_norm() + (1.0 / lam ** 2) * cn_norm(f, 2)
     return lhs, rhs, lhs / max(rhs, 1e-300)

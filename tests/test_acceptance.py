@@ -255,7 +255,7 @@ def test_criterion_03_divergence_lift():
             modes[(-k[0], -k[1])] = modes.get((-k[0], -k[1]),
                                               0) + np.conj(c)
         w = SpectralField.from_modes(grid, modes).perp_gradient()
-        resid = (calderon_lift(w).row_divergence() - w).sup_norm()
+        resid = (calderon_lift(w).divergence() - w).sup_norm()
         worst = max(worst, resid / max(w.sup_norm(), 1e-300))
     # shear-mode closed form: zero diagonal, -cos(lam x1) off-diagonal
     lam = 8
@@ -318,7 +318,7 @@ def test_criterion_07_solver_verification():
 
 def _oracle_block_sup(f, j):
     lp = LittlewoodPaley(f.grid)
-    w = lp._weights[j]
+    w = lp.weight(j)
     n = f.grid.n
     m = (3 * n) // 2
     x = np.arange(m) * (2.0 * np.pi / m)

@@ -33,7 +33,7 @@ def test_seed_is_decaying_shear():
     assert abs(w0.u2.sup_norm() - lam) <= 1e-10
     # the lift of the seed divides back to the seed
     r0 = seed.R_wp.at(0.0)
-    assert (r0.row_divergence() - w0).sup_norm() <= 1e-11 * lam
+    assert (r0.divergence() - w0).sup_norm() <= 1e-11 * lam
 
 
 def test_builder_level_validation():

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from torusns import cli, driver
+from torusns import construction as cons
+from torusns import solver as slv
 from torusns.config import load_config, save_config
 from torusns.spaces import besov_norm
+from torusns.spectral import VectorField
+from torusns.timefield import ExpSeries
 
 
 def one_level_config(tmp_path, **kw):
@@ -57,6 +61,29 @@ def test_single_level_branchES_and_separation(tmp_path):
     assert abs(report["gap_norm"] - direct) <= 1e-12 * max(direct, 1.0)
     assert abs(report["M0"] - direct) <= 1e-10 * max(direct, 1.0)
     assert not report["assertable"] or report["ratio"] >= 0.5
+
+
+def test_separation_inside_a_completed_corrector_window(tmp_path):
+    # a level-2 corrector whose completed window covers t* = lam_1^{-2}
+    # on a step that does not divide t*: Taylor-Green is the exact
+    # solution, so the even branch at t* is known in closed form
+    cfg = driver.RunConfig(levels=1, grid_n=64, out_dir=str(tmp_path))
+    branch = driver.build_solution_pair(cfg)
+    grid = branch.grid
+    t_star = 1.0 / float(branch.schedule.lam(1)) ** 2
+    dt = t_star / 10.5
+    run = slv.SolverConfig(dt=dt, t_end=1.2 * t_star, check_cfl=False)
+    traj = slv.solve_forced_ns(grid, run, u0=slv.taylor_green(grid))
+    assert traj.status == "completed" and traj.times[-1] > t_star
+    zero = ExpSeries({0.0: VectorField.zero(grid)})
+    branch.levels[2] = cons.LevelState(m=2, lam=branch.schedule.lam(2),
+                                       w_p=zero, R_wp=None, C0=1000.0,
+                                       w_ns=traj)
+    report = driver.separation_report(branch)
+    gap = branch.partial_sum("odd", t_star, grid) - slv.taylor_green(
+        grid, t_star)
+    direct = besov_norm(gap, -1.0, np.inf, np.inf)
+    assert abs(report["gap_norm"] - direct) <= 1e-6 * direct
 
 
 def test_single_level_telescoping(tmp_path):

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from torusns.geometry import (GeometricDecompositionError, ID_WEIGHTS, LAMBDA,
                               decompose_matrix, pair_weight_functionals, perp,
                               stationary_flow, stationary_flow_identity_check)
+from torusns.construction import heat_mode_residual
+from torusns.profile import ConcentrationProfile
 from torusns.spectral import Grid
 
 
@@ -112,3 +114,8 @@ def test_stationary_flow_mu_divisibility_guard():
     grid = Grid(64)
     with pytest.raises(ValueError):
         stationary_flow(grid, {LAMBDA.pairs[1]: 1.0}, mu=3)
+    # the concentration profile and the heat modes share the guard
+    with pytest.raises(ValueError):
+        ConcentrationProfile().realize(8).field(grid, LAMBDA.pairs[1], 3)
+    with pytest.raises(ValueError):
+        heat_mode_residual(grid, 3)

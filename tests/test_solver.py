@@ -111,6 +111,32 @@ def test_divergence_preserved():
     assert traj.divergence_residual() <= 1e-11
 
 
+def test_state_at_refuses_times_not_stored():
+    cfg = slv.SolverConfig(dt=1e-3, t_end=5e-3, check_cfl=False)
+    traj = slv.solve_forced_ns(GRID, cfg, u0=slv.taylor_green(GRID))
+    assert traj.state_at(0.0) is traj.states[0]
+    assert traj.state_at(3 * 1e-3) is traj.states[3]
+    for t in (0.5e-3, 2.4e-3, 7e-3):
+        with pytest.raises(ValueError):
+            traj.state_at(t)
+
+
+def test_interpolate_between_stored_states():
+    # Taylor-Green is exact, so the only error left is the linear-in-time
+    # reading between stored steps: a(1-a) dt^2/2 |u''| with u'' = 4u
+    dt = 1e-3
+    cfg = slv.SolverConfig(dt=dt, t_end=5e-3, check_cfl=False)
+    traj = slv.solve_forced_ns(GRID, cfg, u0=slv.taylor_green(GRID))
+    assert traj.interpolate(2 * dt) is traj.states[2]
+    scale = slv.taylor_green(GRID).sup_norm()
+    for t in (0.5e-3, 2.4e-3, 4.9e-3):
+        err = (traj.interpolate(t) - slv.taylor_green(GRID, t)).sup_norm()
+        assert err <= 0.5 * dt ** 2 * scale
+    for t in (-1e-3, 7e-3):
+        with pytest.raises(ValueError):
+            traj.interpolate(t)
+
+
 def test_transport_diffusion_duhamel():
     # zero velocity: u solves the heat equation with source g; constant
     # source on one mode has the closed Duhamel form

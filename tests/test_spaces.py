@@ -29,7 +29,7 @@ def oracle_block_sup(f, j):
     the sup over the same 3/2-oversampled physical grid the norm uses,
     evaluating the mode sum explicitly (no FFT)."""
     lp = LittlewoodPaley(f.grid)
-    w = lp._weights[j]
+    w = lp.weight(j)
     n = f.grid.n
     m = (3 * n) // 2
     x = np.arange(m) * (2.0 * np.pi / m)
@@ -52,7 +52,7 @@ def test_smooth_step_plateaus():
 
 def test_partition_of_unity_reconstruction():
     lp = LittlewoodPaley(GRID)
-    total = sum(lp._weights[j] for j in lp.blocks)
+    total = sum(lp.weight(j) for j in lp.blocks)
     nonzero = GRID.ksq > 0
     assert np.abs(total[nonzero] - 1.0).max() <= 1e-12
 

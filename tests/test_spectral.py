@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusns.spaces import LittlewoodPaley
 from torusns.spectral import (Grid, MatrixField, SpectralField, VectorField,
                               _pad, _truncate, calderon_lift, fit_grid,
-                              leray_project, padded_physical, padded_spectral)
+                              leray_project, modulus, padded_physical,
+                              padded_spectral)
 
 GRID = Grid(64)
 
@@ -174,6 +176,17 @@ def test_matrix_sup_norm_is_pointwise_modulus(rng):
     assert abs(m.sup_norm() - expect) <= 1e-12 * expect
 
 
+def test_modulus_of_a_multiple_is_that_of_the_formed_field(rng):
+    # a block weight is real and even: a real field's multiple is sampled
+    # without being formed, any other field's is formed and tests its own
+    # reality; either way the samples are the formed field's, bit for bit
+    w = LittlewoodPaley(GRID).weight(3)
+    real = VectorField(random_field(rng), random_field(rng))
+    mixed = VectorField(random_field(rng), random_field(rng, real=False))
+    for f in (real, mixed, real.u1):
+        assert np.array_equal(modulus(f, w), modulus(f.apply_symbol(w)))
+
+
 def test_real_field_takes_real_samples(rng):
     f = random_field(rng, band=31)
     p = padded_physical(f)
@@ -222,6 +235,28 @@ def test_real_product_matches_complex_path(rng, band):
     assert np.abs(got.coef - ref.coef).max() <= 1e-14 * np.abs(ref.coef).max()
 
 
+def test_mixed_vector_sup_norm_takes_the_complex_path(rng):
+    # one real and one complex component: the stack is sampled on the
+    # complex transforms, and its sup is that of the pointwise modulus
+    v = VectorField(random_field(rng), random_field(rng, real=False))
+    assert v.u1.real_samples and not v.real_samples
+    assert np.iscomplexobj(padded_physical(v))
+    expect = np.sqrt(sum(np.abs(mode_sum(c)) ** 2 for c in v)).max()
+    assert abs(v.sup_norm() - expect) <= 1e-12 * expect
+
+
+def test_outer_of_unequal_bands_matches_scalar_products(rng):
+    # bands 20 and 4: the stack is padded (40 > 31) although the product of
+    # the two narrow components would fit unpadded
+    a = VectorField(random_field(rng, band=20), random_field(rng, band=4))
+    b = VectorField(random_field(rng, band=20), random_field(rng, band=4))
+    got = a.outer(b)
+    for (i, j), g in zip(np.ndindex(2, 2), got):
+        want = list(a)[i].product(list(b)[j])
+        scale = np.abs(want.coef).max()
+        assert np.abs(g.coef - want.coef).max() <= 1e-15 * scale
+
+
 def test_l2_norm_parseval(rng):
     f = random_field(rng)
     amp = np.sqrt(np.sum(np.abs(f.coef) ** 2) * (2 * np.pi) ** 2)
@@ -245,7 +280,7 @@ def test_calderon_lift_divergence_identity(rng):
     for _ in range(100):
         w = random_field(rng).perp_gradient()
         r = calderon_lift(w)
-        resid = (r.row_divergence() - w).sup_norm()
+        resid = (r.divergence() - w).sup_norm()
         assert resid <= 1e-12 * max(w.sup_norm(), 1.0)
 
 
@@ -273,7 +308,7 @@ def test_calderon_lift_rejects_divergent(rng):
 def test_matrix_row_divergence_transpose(rng):
     a = random_field(rng)
     m = MatrixField(a, a.dx(0), a.dx(1), a)
-    d = m.row_divergence()
+    d = m.divergence()
     expect1 = a.dx(0) + a.dx(0).dx(1)
     expect2 = a.dx(1).dx(0) + a.dx(1)
     assert (d.u1 - expect1).sup_norm() <= 1e-11 * max(expect1.sup_norm(), 1)
@@ -346,6 +381,36 @@ def _transform_uses(path):
         if name.endswith(("spectral._pad", "spectral._truncate")):
             uses.append((None, name))
     return uses
+
+
+#: the field classes; no module asks a field for its class
+FIELD_CLASSES = {"SpectralField", "VectorField", "MatrixField"}
+
+
+def _field_internals(path):
+    """Reads of the private caches ``_band``/``_real``, and isinstance
+    calls naming a field class, in one source file."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("_band", "_real"):
+            hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") \
+                == "isinstance" and len(node.args) == 2:
+            names = {getattr(n, "id", getattr(n, "attr", None))
+                     for n in ast.walk(node.args[1])}
+            if names & FIELD_CLASSES:
+                hits.append((node.lineno, "isinstance"))
+    return hits
+
+
+def test_field_internals_are_owned_by_spectral():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "torusns"
+    stray = [(path.name, line, what)
+             for path in sorted(src.glob("*.py"))
+             for line, what in _field_internals(path)
+             if path.name != "spectral.py" or what == "isinstance"]
+    assert stray == []
+    assert _field_internals(src / "spectral.py")
 
 
 def test_transforms_are_owned_by_spectral():

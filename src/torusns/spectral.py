@@ -20,11 +20,15 @@ frequency — by an unpadded transform (identical result, cheaper).  The
 pointwise modulus built on it (``modulus``) live here only; products, sup
 norms, block norms and the solver's advection all go through them.
 
-A field whose samples are real (every component Hermitian to ``is_real``'s
-tolerance, with an empty Nyquist row and column, which ``_pad`` would embed
-on one side only) takes real-to-complex transforms (``irfft2``/``rfft2``);
-any other field, a stack mixing real and complex components included,
-keeps the complex ones.
+A field whose samples are real (``real_samples``: every component
+Hermitian, and its Nyquist row and column, which ``_pad`` would embed on
+one side only, no larger than rounding, both to 1e-12 of the component's
+largest coefficient) takes real-to-complex transforms (``irfftn``/
+``rfftn``), which drop the Nyquist lines; any other field, a stack mixing
+real and complex components included, keeps the complex ones.  Every
+truncation is symmetric: a cut to a smaller grid and a 3/2-padded product
+leave the new Nyquist row and column empty, so the product of real fields
+is real and a solver state that starts real stays on the real transforms.
 """
 
 from __future__ import annotations
@@ -111,6 +115,29 @@ def _band_of(coef: np.ndarray, rel_tol: float = 1e-14) -> int:
     return int(kinf[sig].max())
 
 
+#: relative size, per component, below which a defect of Hermitian symmetry
+#: or a Nyquist coefficient is rounding and the samples count as real
+_REAL_TOL = 1e-12
+
+
+def _largest(c: np.ndarray) -> np.ndarray:
+    """Each component's largest coefficient modulus (1e-300 for a zero)."""
+    return np.maximum(np.abs(c).max(axis=(-2, -1)), 1e-300)
+
+
+def _hermitian(c: np.ndarray, bound: np.ndarray) -> bool:
+    """c[-xi] = conj(c[xi]) to ``bound`` (one entry per component)."""
+    h = c.shape[-1] // 2
+    # -xi on strided views: rows i <-> n - i (1 <= i < h), rows 0 and h
+    # map to themselves, and likewise for columns
+    pairs = ((c[..., 1:h, 1:], c[..., :h:-1, :0:-1]),
+             (c[..., 1:h, :1], c[..., :h:-1, :1]),
+             (c[..., ::h, 1:], c[..., ::h, :0:-1]),
+             (c[..., ::h, :1], c[..., ::h, :1]))
+    return all(bool((np.abs(a - b.conj()).max(axis=(-2, -1))
+                     <= bound).all()) for a, b in pairs)
+
+
 class SpectralField:
     """Scalar, vector or matrix field on the torus held as DFT coefficients.
 
@@ -179,12 +206,17 @@ class SpectralField:
 
     @property
     def real_samples(self) -> bool:
-        """True when the samples are real on every grid m >= n: Hermitian
-        coefficients (``is_real``) and an empty Nyquist row and column."""
+        """True when the samples are real on every grid m >= n, to 1e-12 of
+        each component's largest coefficient: Hermitian coefficients
+        (``is_real``) and a Nyquist row and column no larger than that,
+        which the real transforms drop (``_pad`` would embed them on one
+        side only)."""
         if self._real is None:
             c, h = self.coef, self.grid.nyquist
-            self._real = bool(not c[..., h, :].any()
-                              and not c[..., :, h].any() and self.is_real())
+            bound = _REAL_TOL * _largest(c)
+            nyq = np.maximum(np.abs(c[..., h, :]).max(axis=-1),
+                             np.abs(c[..., :, h]).max(axis=-1))
+            self._real = bool((nyq <= bound).all()) and _hermitian(c, bound)
         return self._real
 
     def to_physical(self) -> np.ndarray:
@@ -193,19 +225,10 @@ class SpectralField:
     def mean(self) -> complex:
         return complex(self.coef[0, 0])
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self, tol: float = _REAL_TOL) -> bool:
         """Check Hermitian symmetry c[-xi] = conj(c[xi]) of every component
         to tol of its own largest coefficient."""
-        c, h = self.coef, self.grid.nyquist
-        bound = tol * np.maximum(np.abs(c).max(axis=(-2, -1)), 1e-300)
-        # -xi on strided views: rows i <-> n - i (1 <= i < h), rows 0 and h
-        # map to themselves, and likewise for columns
-        pairs = ((c[..., 1:h, 1:], c[..., :h:-1, :0:-1]),
-                 (c[..., 1:h, :1], c[..., :h:-1, :1]),
-                 (c[..., ::h, 1:], c[..., ::h, :0:-1]),
-                 (c[..., ::h, :1], c[..., ::h, :1]))
-        return all(bool((np.abs(a - b.conj()).max(axis=(-2, -1))
-                         <= bound).all()) for a, b in pairs)
+        return _hermitian(self.coef, tol * _largest(self.coef))
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -277,8 +300,7 @@ class SpectralField:
         """(-Delta)^{-1} with zero-mean precondition on every component;
         output mean zero."""
         c = self.coef
-        scale = np.maximum(np.abs(c).max(axis=(-2, -1)), 1e-300)
-        if np.any(np.abs(c[..., 0, 0]) > mean_tol * scale):
+        if np.any(np.abs(c[..., 0, 0]) > mean_tol * _largest(c)):
             raise ValueError("inv_laplacian requires a mean-zero field")
         ksq = self.grid.ksq.copy()
         ksq[0, 0] = 1.0
@@ -396,8 +418,10 @@ def _max_band(b1, b2):
 
 
 def _pad(coef: np.ndarray, m: int) -> np.ndarray:
-    """The n x n coefficients' band below both Nyquist frequencies in a new
-    m x m array, per component: an embedding for m >= n, else a cut."""
+    """The n x n coefficients in a new m x m array, per component: an
+    embedding for m >= n, else a cut to |xi|_inf < m/2.  A cut would keep
+    xi = -m/2 without its partner +m/2, so it leaves row and column m/2
+    empty and a real field's cut stays real."""
     n = coef.shape[-1]
     out = np.zeros(coef.shape[:-2] + (m, m), dtype=np.complex128)
     h = min(n, m) // 2
@@ -405,11 +429,14 @@ def _pad(coef: np.ndarray, m: int) -> np.ndarray:
     out[..., :h, m - h:] = coef[..., :h, n - h:]
     out[..., m - h:, :h] = coef[..., n - h:, :h]
     out[..., m - h:, m - h:] = coef[..., n - h:, n - h:]
+    if m < n:
+        out[..., m // 2, :] = out[..., :, m // 2] = 0.0
     return out
 
 
 def _truncate(coef: np.ndarray, n: int) -> np.ndarray:
-    """Restrict m x m coefficients (m >= n) to the n x n band."""
+    """Restrict m x m coefficients (m >= n) to the n x n band, symmetric
+    about xi = 0 (see ``_pad``)."""
     return coef if coef.shape[-1] == n else _pad(coef, n)
 
 
@@ -448,11 +475,14 @@ def _physical(f: SpectralField, m: int, symbol=None) -> np.ndarray:
 
 def _dealiased(f: SpectralField, g: SpectralField, op) -> SpectralField:
     """op of the samples of f and g, unpadded when the band bounds prove
-    that the result fits, on the 3/2 grid otherwise."""
+    that the result fits, on the 3/2 grid otherwise; one field passed
+    twice is sampled once."""
     n = f.grid.n
     band = f.band + g.band
     m = n if band <= n // 2 - 1 else (3 * n) // 2
-    phys = op(_physical(f, m), _physical(g, m))
+    pf = _physical(f, m)
+    phys = op(pf, pf if g is f else _physical(g, m))
+    del pf  # the samples go before the forward transform
     return SpectralField(f.grid, padded_spectral(phys, n),
                          band=band if m == n else None)
 
@@ -467,7 +497,10 @@ def padded_spectral(phys: np.ndarray, n: int) -> np.ndarray:
     leading axes are components, transformed in one call.
 
     Float samples take ``rfft2``; the k2 < 0 columns then follow from
-    c[xi] = conj(c[-xi]), read on views of the half spectrum.
+    c[xi] = conj(c[-xi]), read on views of the half spectrum.  When m > n
+    the truncation is symmetric, as ``_truncate``'s: row and column n/2
+    stay empty, so the product of real fields is real.  When m = n they
+    keep the samples' Nyquist content.
     """
     m = phys.shape[-1]
     # the second axis transforms in place in the output of the first
@@ -487,6 +520,8 @@ def padded_spectral(phys: np.ndarray, n: int) -> np.ndarray:
     np.conj(r[..., 0, h:0:-1], out=out[..., 0, h:])
     np.conj(r[..., m - 1:m - h:-1, h:0:-1], out=out[..., 1:h, h:])
     np.conj(r[..., h:0:-1, h:0:-1], out=out[..., h:, h:])
+    if m > n:
+        out[..., h, :] = out[..., :, h] = 0.0
     return out
 
 
@@ -502,6 +537,24 @@ def modulus(f: SpectralField, symbol=None) -> np.ndarray:
         sq *= sq
         tot = sq if tot is None else np.add(tot, sq, out=tot)
     return np.sqrt(tot, out=tot)
+
+
+def weighted_sum(fields, weights) -> SpectralField:
+    """sum_i weights[i] * fields[i] in one array on the finest of their
+    grids, the terms embedded as ``regrid`` would and added in order."""
+    fields = list(fields)
+    grid = max((f.grid for f in fields), key=lambda g: g.n)
+    out = None
+    for f, w in zip(fields, weights):
+        term = f.coef * w
+        if f.grid != grid:
+            term = _pad(term, grid.n)
+        if out is None:
+            out = term
+        else:
+            out += term
+    return SpectralField(grid, out,
+                         band=reduce(_max_band, (f._band for f in fields)))
 
 
 def fit_grid(field: SpectralField, min_n: int = 64) -> SpectralField:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .spectral import Grid
+from .spectral import Grid, weighted_sum
 
 
 def _add(f, g):
@@ -58,14 +58,12 @@ class ExpSeries:
         return tuple(sorted(self.terms))
 
     def at(self, t: float):
-        """Evaluate the series at time ``t``."""
+        """Evaluate the series at time ``t``: one new array on the finest
+        of the terms' grids, the terms added in order."""
         if not self.terms:
             raise ValueError("empty series has no value")
-        acc = None
-        for r, f in self.terms.items():
-            term = math.exp(-r * t) * f
-            acc = term if acc is None else _add(acc, term)
-        return acc
+        return weighted_sum(self.terms.values(),
+                            [math.exp(-r * t) for r in self.terms])
 
     def dt(self) -> "ExpSeries":
         """Exact time derivative."""

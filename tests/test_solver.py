@@ -111,6 +111,34 @@ def test_divergence_preserved():
     assert traj.divergence_residual() <= 1e-11
 
 
+def _real_velocity(rng, band):
+    """grad^perp of a random real stream function of the given band."""
+    modes = {}
+    for _ in range(12):
+        k = tuple(int(x) for x in rng.integers(-band, band + 1, 2))
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        modes[k] = modes.get(k, 0) + c
+        modes[(-k[0], -k[1])] = modes.get((-k[0], -k[1]), 0) + np.conj(c)
+    modes.pop((0, 0), None)
+    return SpectralField.from_modes(GRID, modes).perp_gradient()
+
+
+def test_real_state_with_real_forcing_stays_real():
+    # band 20: every product is 3/2-padded, so a truncation that keeps
+    # xi = -n/2 without +n/2 would feed the state a non-real part
+    rng = np.random.default_rng(3)
+    u0 = 0.2 * _real_velocity(rng, 20)
+    force = 5.0 * _real_velocity(rng, 20)
+    cfg = slv.SolverConfig(dt=1e-4, t_end=5e-3, check_cfl=False)
+    traj = slv.solve_forced_ns(GRID, cfg, forcing=lambda t: force, u0=u0)
+    assert traj.status == "completed" and len(traj.states) == 51
+    for s in traj.states:
+        # samples of the trigonometric polynomial itself: on a grid of
+        # twice the size, xi = -32 is a frequency of its own
+        p = s.regrid(Grid(128)).to_physical()
+        assert np.abs(p.imag).max() <= 1e-14 * np.abs(p).max()
+
+
 def test_state_at_refuses_times_not_stored():
     cfg = slv.SolverConfig(dt=1e-3, t_end=5e-3, check_cfl=False)
     traj = slv.solve_forced_ns(GRID, cfg, u0=slv.taylor_green(GRID))

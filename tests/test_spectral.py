@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusns import spectral
 from torusns.spaces import LittlewoodPaley
 from torusns.spectral import (Grid, MatrixField, SpectralField, VectorField,
                               _pad, _truncate, calderon_lift, fit_grid,
@@ -207,6 +208,45 @@ def test_nyquist_content_keeps_complex_samples():
     assert abs(f.sup_norm() - expect) <= 1e-12 * expect
 
 
+@pytest.mark.parametrize("real", [None, False])
+def test_padded_product_of_real_fields_is_real(rng, real):
+    # band 31 + 31: the product is formed on the 3/2 grid and truncated;
+    # real=False sends the same operands through the complex transforms
+    f, g = (SpectralField(GRID, random_field(rng, band=31).coef, real=real)
+            for _ in range(2))
+    p = f.product(g)
+    assert not p.coef[32, :].any() and not p.coef[:, 32].any()
+    assert p.real_samples
+
+
+def test_rounding_level_nyquist_content_takes_real_samples(rng):
+    c = random_field(rng, band=31).coef
+    scale = np.abs(c).max()
+    c[32, 5] = 1e-14 * scale
+    c[7, 32] = -1e-14 * scale
+    f = SpectralField(GRID, c)
+    assert f.real_samples
+    assert padded_physical(f).dtype == np.float64
+    expect = np.abs(mode_sum(f)).max()
+    assert abs(f.sup_norm() - expect) <= 1e-12 * expect
+
+
+def test_one_operand_passed_twice_is_sampled_once(rng, monkeypatch):
+    # one sampling, and the product of two equal operands, bit for bit
+    f = random_field(rng, band=31)
+    v = VectorField(f, random_field(rng, band=20))
+    twin_f = SpectralField(GRID, f.coef.copy())
+    twin_v = SpectralField(GRID, v.coef.copy())
+    want = f.product(twin_f).coef, v.outer(twin_v).coef
+    calls = []
+    sample = spectral._physical
+    monkeypatch.setattr(spectral, "_physical",
+                        lambda *a: calls.append(a[0]) or sample(*a))
+    got = f.product(f).coef, v.outer(v).coef
+    assert len(calls) == 2 and calls[0] is f and calls[1] is v
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_anti_hermitian_part_keeps_complex_samples(rng):
     c = random_field(rng).coef
     c[5, 2] += 1e-9 * np.abs(c).max()
@@ -336,7 +376,8 @@ def test_perp_gradient_is_solenoidal(seed):
 
 #: numpy.fft / scipy.fft transforms; only spectral.py may call them
 TRANSFORMS = {f"{lib}.{fn}" for lib in ("numpy.fft", "scipy.fft")
-              for fn in ("fft2", "ifft2", "rfft2", "irfft2",
+              for fn in ("fft", "ifft", "rfft", "irfft",
+                         "fft2", "ifft2", "rfft2", "irfft2",
                          "fftn", "ifftn", "rfftn", "irfftn")}
 #: (module, function) allowed its own unpadded transforms
 TRANSFORM_ALLOWED = {("spaces.py", "bmo_inv_norm")}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from torusns.spectral import Grid, SpectralField
+from torusns.spectral import Grid, SpectralField, VectorField
 from torusns.timefield import ExpSeries, mollify_time, time_kernel_factor
 
 GRID = Grid(64)
@@ -55,6 +55,25 @@ def test_mixed_grid_accumulation():
     assert out.grid.n == 128
     expect = mode(1.0).regrid(Grid(128)) + big
     assert (out - expect).sup_norm() <= 1e-14
+
+
+def test_at_adds_the_regridded_terms_in_order():
+    # vector terms on grids 64, 128 and 64: the value lives on grid 128 and
+    # equals, bit for bit, the scaled terms regridded there and added in
+    # order
+    big = Grid(128)
+    v = VectorField(mode(1.0 + 0.5j, (3, 1)), mode(0.25, (0, 2)))
+    w = VectorField(SpectralField.from_modes(big, {(40, -7): 2.0}),
+                    SpectralField.from_modes(big, {(5, 50): 1j}))
+    s = ExpSeries({4.0: v, 9.0: w, 1.0: -1.5 * v.dx(0)})
+    for t in (0.0, 0.02):
+        got = s.at(t)
+        want = None
+        for r, f in s.terms.items():
+            term = (math.exp(-r * t) * f).regrid(big)
+            want = term if want is None else want + term
+        assert got.grid == big and got.band == want.band
+        assert np.array_equal(got.coef, want.coef)
 
 
 def test_time_kernel_factor_near_one_for_slow_rates():

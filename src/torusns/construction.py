@@ -533,7 +533,8 @@ def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
                 continue
             pg = grid or _grid_for(f.band + g.band,
                                    max(f.grid.n, g.grid.n))
-            t = f.regrid(pg).outer(g.regrid(pg))
+            fr = f.regrid(pg)
+            t = fr.outer(fr if g is f else g.regrid(pg))
             if b is not None or s != r:
                 t = t + t.transpose()
             dv = t.divergence()

@@ -8,7 +8,9 @@ standard DFT order (numpy fftfreq layout, row-major), with
 One type, ``SpectralField``, holds scalars, vectors and 2x2 tensors: its
 ``coef`` has shape (*components, n, n), with components () for a scalar,
 (2,) for a vector and (2, 2) for a matrix, and every operator broadcasts
-over the leading axes, so a stack of components takes one transform call.
+over the leading axes, so a stack of components is transformed together:
+a complex stack in one transform call, a real one in two single-axis
+passes, the first over the live columns only.
 ``VectorField`` and ``MatrixField`` add only a constructor from components
 and the named component views.
 
@@ -24,11 +26,12 @@ A field whose samples are real (``real_samples``: every component
 Hermitian, and its Nyquist row and column, which ``_pad`` would embed on
 one side only, no larger than rounding, both to 1e-12 of the component's
 largest coefficient) takes real-to-complex transforms (``irfftn``/
-``rfftn``), which drop the Nyquist lines; any other field, a stack mixing
-real and complex components included, keeps the complex ones.  Every
-truncation is symmetric: a cut to a smaller grid and a 3/2-padded product
-leave the new Nyquist row and column empty, so the product of real fields
-is real and a solver state that starts real stays on the real transforms.
+``rfftn``, one axis per call), which drop the Nyquist lines; any other
+field, a stack mixing real and complex components included, keeps the
+complex ones.  Every truncation is symmetric: a cut to a smaller grid and
+a 3/2-padded product leave the new Nyquist row and column empty, so the
+product of real fields is real and a solver state that starts real stays
+on the real transforms.
 """
 
 from __future__ import annotations
@@ -318,12 +321,18 @@ class SpectralField:
     def product(self, other: "SpectralField") -> "SpectralField":
         """Alias-free product (3/2 zero-padding rule, or unpadded when the
         band bounds prove the result already fits)."""
-        return _dealiased(self, other, np.multiply)
+        return SpectralField(self.grid, *_dealiased(self, other, np.multiply))
 
     def outer(self, other: "SpectralField") -> "SpectralField":
         """self tensor other of two vectors, entries (i, j) = self_i other_j,
-        alias-free as ``product``."""
-        return _dealiased(self, other, lambda a, b: a[:, None] * b[None])
+        alias-free as ``product``.  A real vector passed twice gives
+        t21 = t12 bit for bit, so only (t11, t12, t22) are transformed."""
+        if other is self and self.real_samples:
+            c, band = _dealiased(self, self, _upper_outer)
+            return SpectralField(self.grid, c[[0, 1, 1, 2]].reshape(
+                (2, 2) + c.shape[1:]), band=band)
+        return SpectralField(self.grid, *_dealiased(
+            self, other, lambda a, b: a[:, None] * b[None]))
 
     def shift(self, s1: int, s2: int) -> "SpectralField":
         """Multiply by exp(i (s1, s2) . x): an exact frequency shift.
@@ -441,31 +450,38 @@ def _truncate(coef: np.ndarray, n: int) -> np.ndarray:
 
 
 def _physical(f: SpectralField, m: int, symbol=None) -> np.ndarray:
-    """Samples of an n x n field on the m x m grid (m >= n), one transform
-    for all components: float64 from the k2 >= 0 half when the field's
-    samples are real, complex otherwise.  With ``symbol`` (n x n, real and
-    even), the samples of the Fourier multiple symbol * f: formed as a
-    field, which tests its own reality, unless f is real, when so is the
-    multiple and its coefficients are never formed.
+    """Samples of an n x n field on the m x m grid (m >= n), all components
+    at once: float64 from the k2 >= 0 half when the field's samples are
+    real, complex otherwise.  With ``symbol`` (n x n, real and even), the
+    samples of the Fourier multiple symbol * f: formed as a field, which
+    tests its own reality, unless f is real, when so is the multiple and
+    its coefficients are never formed.
 
-    The complex inverse runs in place on the padded coefficients, the
-    real one writes its samples over the half spectrum (consumed by its
-    first axis), and the scaling is in place, so no further copy of a
-    stack is made.
+    Real samples take two single-axis passes, the first over the live
+    columns only: the k2 >= 0 columns up to the last that holds a nonzero
+    coefficient (and a nonzero ``symbol`` entry) are inverted along k1 in
+    place, and the real inverse along k2 zero-fills the rest of the half
+    spectrum itself.  The complex inverse is one call, in place on the
+    padded coefficients.  The scaling is in place.
     """
     if symbol is not None and not f.real_samples:
         f, symbol = f.apply_symbol(symbol), None
     c = f.coef
     if f.real_samples:
         h = f.grid.nyquist
-        half = np.zeros(c.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
-        half[..., :h, :h] = c[..., :h, :h]
-        half[..., m - h + 1:, :h] = c[..., h + 1:, :h]
+        # the exact nonzero extent: ``band`` drops rounding-level content
+        live = np.any(c[..., :h], axis=tuple(range(c.ndim - 1)))
         if symbol is not None:
-            half[..., :h, :h] *= symbol[:h, :h]
-            half[..., m - h + 1:, :h] *= symbol[h + 1:, :h]
-        p = half.view(np.float64)[..., :m]
-        np.fft.irfftn(half, s=(m, m), axes=(-2, -1), out=p)
+            live &= symbol[:, :h].any(axis=0)
+        b = max(len(np.trim_zeros(live, "b")), 1)
+        half = np.zeros(c.shape[:-2] + (m, b), dtype=np.complex128)
+        half[..., :h, :] = c[..., :h, :b]
+        half[..., m - h + 1:, :] = c[..., h + 1:, :b]
+        if symbol is not None:
+            half[..., :h, :] *= symbol[:h, :b]
+            half[..., m - h + 1:, :] *= symbol[h + 1:, :b]
+        np.fft.ifftn(half, axes=(-2,), out=half)
+        p = np.fft.irfftn(half, s=(m,), axes=(-1,))
     else:
         p = _pad(c, m)
         np.fft.ifftn(p, axes=(-2, -1), out=p)
@@ -473,18 +489,25 @@ def _physical(f: SpectralField, m: int, symbol=None) -> np.ndarray:
     return p
 
 
-def _dealiased(f: SpectralField, g: SpectralField, op) -> SpectralField:
-    """op of the samples of f and g, unpadded when the band bounds prove
-    that the result fits, on the 3/2 grid otherwise; one field passed
-    twice is sampled once."""
+def _dealiased(f: SpectralField, g: SpectralField, op):
+    """The coefficients of op of the samples of f and g, and their band
+    when known: unpadded when the band bounds prove that the result fits,
+    on the 3/2 grid otherwise; one field passed twice is sampled once."""
     n = f.grid.n
     band = f.band + g.band
     m = n if band <= n // 2 - 1 else (3 * n) // 2
     pf = _physical(f, m)
     phys = op(pf, pf if g is f else _physical(g, m))
     del pf  # the samples go before the forward transform
-    return SpectralField(f.grid, padded_spectral(phys, n),
-                         band=band if m == n else None)
+    return padded_spectral(phys, n), (band if m == n else None)
+
+
+def _upper_outer(a: np.ndarray, _) -> np.ndarray:
+    """(a1 a1, a1 a2, a2 a2): the upper triangle of the samples a (x) a."""
+    t = np.empty((3,) + a.shape[1:], dtype=a.dtype)
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        np.multiply(a[i], a[j], out=t[k])
+    return t
 
 
 def padded_physical(f: SpectralField) -> np.ndarray:
@@ -494,24 +517,27 @@ def padded_physical(f: SpectralField) -> np.ndarray:
 
 def padded_spectral(phys: np.ndarray, n: int) -> np.ndarray:
     """Coefficients of m x m samples (m >= n), truncated to the n x n band;
-    leading axes are components, transformed in one call.
+    leading axes are components, transformed together.
 
-    Float samples take ``rfft2``; the k2 < 0 columns then follow from
+    Float samples take two single-axis passes: ``rfftn`` along the last
+    axis, then the first axis in place over the h + 1 = n/2 + 1 columns
+    that are kept; the k2 < 0 columns then follow from
     c[xi] = conj(c[-xi]), read on views of the half spectrum.  When m > n
     the truncation is symmetric, as ``_truncate``'s: row and column n/2
     stay empty, so the product of real fields is real.  When m = n they
-    keep the samples' Nyquist content.
+    keep the samples' Nyquist content.  Complex samples take one call.
     """
     m = phys.shape[-1]
-    # the second axis transforms in place in the output of the first
     if np.iscomplexobj(phys):
+        # the second axis transforms in place in the output of the first
         r = np.fft.fftn(phys, axes=(-2, -1), out=np.empty_like(phys))
         r /= m * m
         return _truncate(r, n)
-    r = np.fft.rfftn(phys, axes=(-2, -1), out=np.empty(
-        phys.shape[:-1] + (m // 2 + 1,), dtype=np.complex128))
-    r /= m * m
     h = n // 2
+    r = np.fft.rfftn(phys, axes=(-1,))
+    kept = r[..., :h + 1]
+    np.fft.fftn(kept, axes=(-2,), out=kept)
+    kept /= m * m
     out = np.empty(phys.shape[:-2] + (n, n), dtype=np.complex128)
     out[..., :h, :h] = r[..., :h, :h]
     out[..., h:, :h] = r[..., m - h:, :h]

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,101 @@ def test_one_operand_passed_twice_is_sampled_once(rng, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _banded(rng, shape, band):
+    """A real stack on GRID: white noise cut to |xi|_inf <= band (band -1
+    for the zero field)."""
+    c = np.fft.fft2(rng.standard_normal(shape + (64, 64))) / 64 ** 2
+    k = np.abs(GRID.k)
+    c[..., np.maximum(k[:, None], k[None, :]) > band] = 0.0
+    return SpectralField(GRID, c)
+
+
+def _full_half_samples(f, m, symbol=None):
+    """Reference samples: irfftn over both axes of the whole zero-filled
+    k2 >= 0 half spectrum of symbol * f."""
+    c, h = f.coef if symbol is None else f.coef * symbol, f.grid.nyquist
+    half = np.zeros(c.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    half[..., :h, :h] = c[..., :h, :h]
+    half[..., m - h + 1:, :h] = c[..., h + 1:, :h]
+    p = np.fft.irfftn(half, s=(m, m), axes=(-2, -1))
+    p *= m * m
+    return p
+
+
+def _two_axis_coefficients(phys, n):
+    """Reference coefficients: rfftn over both axes, the k2 < 0 columns
+    (k2 = -m/2 included) mirrored from the half, then ``_truncate``."""
+    m = phys.shape[-1]
+    r = np.fft.rfftn(phys, axes=(-2, -1))
+    r /= m * m
+    full = np.empty(phys.shape, dtype=complex)
+    full[..., :m // 2] = r[..., :m // 2]
+    full[..., m // 2:] = np.conj(r[..., -np.arange(m) % m, m // 2:0:-1])
+    return _truncate(full, n)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+@pytest.mark.parametrize("band", [-1, 0, 12, 31])
+def test_live_column_transforms_match_the_two_axis_ones(rng, shape, band):
+    # the zero field samples one column, band 31 = h - 1 prunes none
+    f = _banded(rng, shape, band)
+    assert f.real_samples
+    weights = [None] + [LittlewoodPaley(GRID).weight(j) for j in (1, 3, 6)]
+    for m in (64, 96):
+        for w in weights:
+            assert np.array_equal(spectral._physical(f, m, w),
+                                  _full_half_samples(f, m, w))
+        p = spectral._physical(f, m)
+        phys = p * p + 1.0
+        assert np.array_equal(padded_spectral(phys, 64),
+                              _two_axis_coefficients(phys, 64))
+
+
+def test_rounding_level_last_column_is_sampled(rng):
+    # 1e-16 of the largest coefficient is beyond the band, not beyond the
+    # nonzero extent: the samples keep it
+    c = _banded(rng, (2,), 12).coef
+    c[:, 3, 20] = c[:, -3, -20] = 1e-16 * np.abs(c).max()
+    f = SpectralField(GRID, c)
+    assert f.real_samples and f.band == 12
+    got = padded_physical(f)
+    assert np.array_equal(got, _full_half_samples(f, 96))
+    c[:, 3, 20] = c[:, -3, -20] = 0.0
+    assert not np.array_equal(got, padded_physical(SpectralField(GRID, c)))
+
+
+def test_real_sampling_holds_one_half_spectrum():
+    # band 16 on n = 256: the live columns take less than the half
+    # spectrum that a two-axis inverse allocates beside the samples
+    n, m = 256, 384
+    modes = {(k1, k2): np.array([1.0, 0.5])
+             for k1 in range(-16, 17) for k2 in range(-16, 17)}
+    f = SpectralField.from_modes(Grid(n), modes)
+    assert f.real_samples
+    half_bytes = 2 * m * (m // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        p = padded_physical(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.nbytes <= peak < 2 * half_bytes
+
+
+def test_outer_of_a_real_vector_with_itself_transforms_three_planes(
+        rng, monkeypatch):
+    v = VectorField(random_field(rng, band=31), random_field(rng, band=20))
+    want = v.outer(SpectralField(GRID, v.coef.copy())).coef
+    planes = []
+    forward = spectral.padded_spectral
+    monkeypatch.setattr(spectral, "padded_spectral",
+                        lambda p, n: planes.append(p.shape[0]) or forward(p, n))
+    got = v.outer(v)
+    assert planes == [3]
+    assert np.array_equal(got.coef, want)
+    assert np.array_equal(got.a12.coef, got.a21.coef)
+
+
 def test_anti_hermitian_part_keeps_complex_samples(rng):
     c = random_field(rng).coef
     c[5, 2] += 1e-9 * np.abs(c).max()
@@ -462,4 +558,9 @@ def test_transforms_are_owned_by_spectral():
              for func, name in _transform_uses(path)
              if (path.name, func) not in TRANSFORM_ALLOWED]
     assert stray == []
-    assert _transform_uses(src / "spectral.py")
+    own = {name for _, name in _transform_uses(src / "spectral.py")}
+    assert own
+    # one-axis passes use the n-D names with ``axes=``, which the
+    # benchmark's per-layer transform counts know
+    assert not own & {f"{lib}.{fn}" for lib in ("numpy.fft", "scipy.fft")
+                      for fn in ("fft", "ifft", "rfft", "irfft")}

@@ -3,6 +3,8 @@
 Runs the perturbation construction at n=2048 with the complete
 concentration-profile band, prints every identity residual and the
 pressure-absorption contract, and reports wall time plus peak memory.
+Each timed phase prints its time and the process's peak RSS
+(``ru_maxrss``) so far.
 """
 
 import argparse
@@ -29,9 +31,15 @@ def main() -> None:
 
     marks = [t0]
 
+    def peak_gb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
+
+    def report(seconds, label):
+        print(f"[{seconds:7.1f}s {peak_gb():6.2f} GB] {label}", flush=True)
+
     def mark(label):
         marks.append(time.perf_counter())
-        print(f"[{marks[-1] - marks[-2]:7.1f}s] {label}", flush=True)
+        report(marks[-1] - marks[-2], label)
 
     for name in ("_assemble_wp", "_assemble_ws", "_assemble_f1",
                  "_assemble_f2"):
@@ -40,7 +48,7 @@ def main() -> None:
         def timed(self, *a, _orig=orig, _name=name, **kw):
             s = time.perf_counter()
             out = _orig(self, *a, **kw)
-            print(f"[{time.perf_counter() - s:7.1f}s] {_name}", flush=True)
+            report(time.perf_counter() - s, _name)
             return out
 
         setattr(cons.EvenLevelBuilder, name, timed)
@@ -67,8 +75,8 @@ def main() -> None:
     print(f"sup w_p(0) = {state.w_p.at(0.0).sup_norm():.6e}")
     print(f"F1 rates: {sorted(state.F1.terms)}")
     print(f"F2 rates: {sorted(state.F2.terms)}")
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
-    print(f"total {time.perf_counter() - t0:.1f}s, peak RSS {peak:.2f} GB")
+    print(f"total {time.perf_counter() - t0:.1f}s, "
+          f"peak RSS {peak_gb():.2f} GB")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .geometry import (ID_WEIGHTS, LAMBDA, integer_frequency,
 from .profile import ConcentrationProfile
 from .schedule import ParamSchedule
 from .spectral import (Grid, MatrixField, SpectralField, VectorField,
-                       fit_grid)
+                       add_shifted, fit_grid, product_sums, sym_outer)
 from .timefield import ExpSeries, mollify_time
 
 
@@ -98,8 +98,8 @@ def _sqrt_series(const: float, series: ExpSeries) -> ExpSeries:
     """
     root = math.sqrt(const)
     wide = _grid_for(2 * max(f.band for f in series.terms.values()))
-    v = (1.0 / const) * series.map(lambda f: f.regrid(wide))
-    v2 = v.combine(v, lambda a, b: a.product(b))
+    v = (1.0 / const) * series
+    v2 = v.product(v, wide)
     one = SpectralField.from_modes(wide, {(0, 0): 1.0})
     out = ExpSeries({0.0: root * one})
     out = out + (0.5 * root) * v + (-0.125 * root) * v2
@@ -289,12 +289,13 @@ class EvenLevelBuilder:
         amps = build_amplitudes(self.prev.R_wp, C0, self.ell, self.grid)
         phis = self.concentration_fields()
 
-        # envelopes G_P = amp_P * phi_P (cutoff of the carry level == 1)
+        # envelopes G_P = amp_P * phi_P (cutoff of the carry level == 1),
+        # each term cropped as it is formed
         envelopes = []
         for amp, phi in zip(amps, phis):
-            big = phi.regrid(self.grid)
-            env = amp.amp.map(lambda f: fit_grid(f.regrid(self.grid).product(big)))
-            envelopes.append(env)
+            pairs = amp.amp.pairs_by_rate(ExpSeries({0.0: phi}))
+            envelopes.append(ExpSeries({r: fit_grid(g) for r, g in
+                                        product_sums(pairs, self.grid)}))
 
         state = LevelState(m=self.m, lam=self.lam, C0=C0,
                            w_p=None, R_wp=None)
@@ -383,9 +384,12 @@ class EvenLevelBuilder:
         """Assemble the quadratic error and its pressure.
 
         The hot loops accumulate straight into per-rate coefficient
-        arrays on the product grid; modulations are integer rolls.  This
-        keeps the peak footprint at the accumulators plus one transient
-        product, which is what fits next to the full-size build.
+        arrays on the product grid.  Each envelope pair's products of one
+        rate sum are summed into one field u on the smallest grid that
+        holds its band, and its modulated integrands are slice-added into
+        the accumulators at their frequency offset.  This keeps the peak
+        footprint at the accumulators plus one rate sum's transients,
+        which is what fits next to the full-size build.
         """
         lam = float(self.lam)
         lam2 = lam * lam
@@ -399,8 +403,8 @@ class EvenLevelBuilder:
                 store[rate] = np.zeros(shape + (n, n), dtype=complex)
             return store[rate]
 
-        def roll(c, v):
-            return np.roll(c, (v[0], v[1]), axis=(-2, -1))
+        def own_grid(band):
+            return Grid(min(_grid_for(band).n, n))
 
         npairs = len(self.pairs)
         for a in range(npairs):
@@ -411,84 +415,85 @@ class EvenLevelBuilder:
                     else [(1, 1), (-1, -1)]
                 kdot = float(kba @ kbb)
                 ka, kb = kba[:, None, None], kbb[:, None, None]
-                for ra, ga in envelopes[a].terms.items():
-                    for rb, gb in envelopes[b].terms.items():
-                        u = ga.regrid(grid).product(gb.regrid(grid))
-                        r = ra + rb
-                        gu = u.gradient().coef
-                        gu1, gu2 = gu
-                        band = u.band
-                        gka = kba[0] * gu1 + kba[1] * gu2
-                        gkb = gka if a == b else kbb[0] * gu1 + kbb[1] * gu2
-                        # summed over both enumeration orders (jbar and
-                        # kbar swapped), the integrand depends on the
-                        # two signs only through their product s, so two
-                        # precomputed variants cover all four sign
-                        # combinations and each combination costs one
-                        # modulation roll per accumulated component
-                        cache: dict = {}
+                ea, eb = envelopes[a], envelopes[b]
+                ugrid = own_grid(max(g.band for g in ea.terms.values()) +
+                                 max(g.band for g in eb.terms.values()))
+                # u = sum of g_a g_b over the rate pairs of one sum r
+                for r, u in product_sums(ea.pairs_by_rate(eb), ugrid):
+                    gu = u.gradient().coef
+                    gu1, gu2 = gu
+                    band = u.band
+                    gka = kba[0] * gu1 + kba[1] * gu2
+                    gkb = gka if a == b else kbb[0] * gu1 + kbb[1] * gu2
+                    # summed over both enumeration orders (jbar and kbar
+                    # swapped), the integrand depends on the two signs
+                    # only through their product s, so two precomputed
+                    # variants cover all four sign combinations and each
+                    # combination costs one slice-add per accumulator
+                    cache: dict = {}
 
-                        def integrand(s, _a=a, _b=b):
-                            if s in cache:
-                                return cache[s]
-                            dot = s * kdot
-                            if _a != _b:
-                                fi = lam2 * ((dot - 1.0) * gu - s * (
-                                    ka * gkb + kb * gka))
-                            else:
-                                fi = lam2 * (0.5 * (dot - 1.0) * gu -
-                                             s * ka * gka)
-                            # the pressure term is order-symmetric, so
-                            # off-diagonal combinations pick it up twice
-                            p_coef = -0.5 * lam2 * (dot - 1.0) * \
-                                (2.0 if _a != _b else 1.0)
-                            pi = None if dot == 1.0 else p_coef * u.coef
-                            cache[s] = (pi, fi)
+                    def integrand(s, _a=a, _b=b):
+                        if s in cache:
                             return cache[s]
+                        dot = s * kdot
+                        if _a != _b:
+                            fi = lam2 * ((dot - 1.0) * gu - s * (
+                                ka * gkb + kb * gka))
+                        else:
+                            fi = lam2 * (0.5 * (dot - 1.0) * gu -
+                                         s * ka * gka)
+                        # the pressure term is order-symmetric, so
+                        # off-diagonal combinations pick it up twice
+                        p_coef = -0.5 * lam2 * (dot - 1.0) * \
+                            (2.0 if _a != _b else 1.0)
+                        pi = None if dot == 1.0 else p_coef * u.coef
+                        cache[s] = (pi, fi)
+                        return cache[s]
 
-                        for (sa, sb) in signs:
-                            va = (sa * kva[0] + sb * kvb[0],
-                                  sa * kva[1] + sb * kvb[1])
-                            if va == (0, 0):
-                                continue
-                            if band + max(abs(va[0]), abs(va[1])) > n // 2 - 1:
-                                raise ValueError(
-                                    "quadratic interaction leaves the grid "
-                                    f"band (band {band}, shift {va}, n={n})")
-                            pi, fi = integrand(sa * sb)
-                            if pi is not None:
-                                pc = acc(p11_acc, r, ())
-                                pc += roll(pi, va)
-                            fc = acc(f11_acc, r, (2,))
-                            fc += roll(fi, va)
-                        del u, gu, gu1, gu2, gka, gkb, cache
+                    for (sa, sb) in signs:
+                        va = (sa * kva[0] + sb * kvb[0],
+                              sa * kva[1] + sb * kvb[1])
+                        if va == (0, 0):
+                            continue
+                        if band + max(abs(va[0]), abs(va[1])) > n // 2 - 1:
+                            raise ValueError(
+                                "quadratic interaction leaves the grid "
+                                f"band (band {band}, shift {va}, n={n})")
+                        pi, fi = integrand(sa * sb)
+                        if pi is not None:
+                            add_shifted(acc(p11_acc, r, ()), pi, va)
+                        add_shifted(acc(f11_acc, r, (2,)), fi, va)
+                    del u, gu, gu1, gu2, gka, gkb, cache
 
         # mollification gap and profile-oscillation parts go into the
-        # same accumulators (their rates are a subset of the above)
+        # same accumulators (their rates are a subset of the above); both
+        # parts of one rate take one forward transform, on the smallest
+        # grid that holds them
         scale12 = 2.0 * 2000.0 * C0 * lam2
         for (kf, kbf, kv), amp, phi in zip(self.pairs, amps, phis):
             kb_outer = np.outer(kbf, kbf)
-            big_phi = phi.regrid(grid)
-            phi_sq = big_phi.product(big_phi)
-            del big_phi
             scaled_amp = (1.0 / math.sqrt(2000.0 * C0)) * amp.amp
             wide = _grid_for(
                 2 * max(f.band for f in scaled_amp.terms.values()))
-            scaled_amp = scaled_amp.map(lambda f: f.regrid(wide))
-            mol_sq = scaled_amp.combine(
-                scaled_amp, lambda f, g: f.product(g))
+            mol_sq = scaled_amp.product(scaled_amp, wide)
             gap = mol_sq - amp.raw_sq
+            pgrid = own_grid(2 * phi.band + max(
+                f.band for f in chain(gap.terms.values(),
+                                      amp.raw_sq.terms.values())))
+            big_phi = phi.regrid(pgrid)
+            phi_sq = big_phi.product(big_phi)
+            del big_phi
             osc = phi_sq - SpectralField.from_modes(
-                grid, {(0, 0): phi_sq.mean()})
-            pieces = [(gap, phi_sq), (amp.raw_sq, osc)]
-            for series, weight_field in pieces:
+                pgrid, {(0, 0): phi_sq.mean()})
+            groups: dict = {}
+            for series, weight_field in ((gap, phi_sq), (amp.raw_sq, osc)):
                 for r, f in series.terms.items():
-                    sc = weight_field.product(f.regrid(grid))
-                    dv = (kb_outer * sc).divergence()
-                    fc = acc(f11_acc, r, (2,))
-                    fc += scale12 * dv.coef
-                    del sc, dv
-            del phi_sq, osc, mol_sq, gap
+                    groups.setdefault(r, []).append((weight_field, f))
+            for r, sc in product_sums(groups, pgrid):
+                dv = (kb_outer * sc).divergence()
+                add_shifted(acc(f11_acc, r, (2,)), scale12 * dv.coef, (0, 0))
+                del sc, dv
+            del phi_sq, osc, mol_sq, gap, groups
 
         # cross interactions of the main/remainder split; their rates
         # already carry the common e^{-2 lam^2 t} of the two factors
@@ -518,28 +523,29 @@ class EvenLevelBuilder:
         cross = ExpSeries()
         for r, dv in chain(_sym_flux(state.w_p, state.w_s),
                            _sym_flux(state.w_s, None)):
-            cross = cross + ExpSeries({r: dv})
+            cross = cross + ExpSeries({r: fit_grid(dv)})
         state.F2 = heat_resid + ws_lap + cross
 
 
 def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
-    """(r + s, div(f (x) g + g (x) f)) over the terms f e^{-rt} of ``a`` and
-    g e^{-st} of ``b``; with ``b`` None, over the unordered pairs of terms
-    of ``a``, a pair of one term giving div(f (x) f).  The products are
-    taken on ``grid``, or on the smallest grid that resolves each pair."""
-    for r, f in a.terms.items():
-        for s, g in (a if b is None else b).terms.items():
-            if b is None and s < r:
-                continue
-            pg = grid or _grid_for(f.band + g.band,
-                                   max(f.grid.n, g.grid.n))
-            fr = f.regrid(pg)
-            t = fr.outer(fr if g is f else g.regrid(pg))
-            if b is not None or s != r:
-                t = t + t.transpose()
-            dv = t.divergence()
-            del t
-            yield r + s, dv
+    """(q, div(f (x) g + g (x) f)) summed over the terms f e^{-rt} of ``a``
+    and g e^{-st} of ``b`` with r + s = q; with ``b`` None, over the
+    unordered pairs of terms of ``a``, a pair of one term giving
+    div(f (x) f).  That is the sum of f (x) g over the ordered pairs, so
+    either way the symmetric products (``sym_outer``, three planes) of one
+    rate sum take one forward transform, on ``grid`` or on the smallest
+    grid that resolves them all."""
+    other = a if b is None else b
+    if grid is None:
+        grid = _grid_for(
+            max(f.band for f in a.terms.values()) +
+            max(g.band for g in other.terms.values()),
+            max(f.grid.n for f in chain(a.terms.values(),
+                                        other.terms.values())))
+    for q, t in product_sums(a.pairs_by_rate(other), grid, sym_outer):
+        dv = t.divergence()
+        del t
+        yield q, dv if b is None else 2.0 * dv
 
 
 def build_level(grid: Grid, schedule: ParamSchedule, m: int,

@@ -22,6 +22,14 @@ frequency — by an unpadded transform (identical result, cheaper).  The
 pointwise modulus built on it (``modulus``) live here only; products, sup
 norms, block norms and the solver's advection all go through them.
 
+Every product is a sum of products: ``product_sums`` takes pairs of fields
+grouped by key, samples each distinct field once from its own grid, adds
+the products of one key in physical space and makes one forward transform
+per key.  ``product`` and ``outer`` pass one pair; a series product
+(``timefield.ExpSeries.product``) passes one key per rate sum.
+``add_shifted`` adds coefficients of a coarser grid into a finer array at a
+frequency offset, by slice-adds with no padded or rolled copy.
+
 A field whose samples are real (``real_samples``: every component
 Hermitian, and its Nyquist row and column, which ``_pad`` would embed on
 one side only, no larger than rounding, both to 1e-12 of the component's
@@ -51,6 +59,9 @@ __all__ = [
     "modulus",
     "padded_physical",
     "padded_spectral",
+    "product_sums",
+    "sym_outer",
+    "add_shifted",
 ]
 
 
@@ -139,6 +150,17 @@ def _hermitian(c: np.ndarray, bound: np.ndarray) -> bool:
              (c[..., ::h, :1], c[..., ::h, :1]))
     return all(bool((np.abs(a - b.conj()).max(axis=(-2, -1))
                      <= bound).all()) for a, b in pairs)
+
+
+def _extent(c: np.ndarray) -> int:
+    """Largest |xi|_inf of a nonzero coefficient in any component (0 for a
+    zero field): the exact extent, where ``band`` drops content below
+    1e-14 of the largest coefficient."""
+    n = c.shape[-1]
+    nz = c.reshape(-1, n, n).any(axis=0)
+    k = np.abs(_grid_cache(n)[0])
+    return int(max(k[nz.any(axis=1)].max(initial=0),
+                   k[nz.any(axis=0)].max(initial=0)))
 
 
 class SpectralField:
@@ -321,31 +343,33 @@ class SpectralField:
     def product(self, other: "SpectralField") -> "SpectralField":
         """Alias-free product (3/2 zero-padding rule, or unpadded when the
         band bounds prove the result already fits)."""
-        return SpectralField(self.grid, *_dealiased(self, other, np.multiply))
+        (_, p), = product_sums({0: [(self, other)]}, self.grid)
+        return p
 
     def outer(self, other: "SpectralField") -> "SpectralField":
         """self tensor other of two vectors, entries (i, j) = self_i other_j,
         alias-free as ``product``.  A real vector passed twice gives
         t21 = t12 bit for bit, so only (t11, t12, t22) are transformed."""
-        if other is self and self.real_samples:
-            c, band = _dealiased(self, self, _upper_outer)
-            return SpectralField(self.grid, c[[0, 1, 1, 2]].reshape(
-                (2, 2) + c.shape[1:]), band=band)
-        return SpectralField(self.grid, *_dealiased(
-            self, other, lambda a, b: a[:, None] * b[None]))
+        op = sym_outer if other is self and self.real_samples else _outer
+        (_, t), = product_sums({0: [(self, other)]}, self.grid, op)
+        return t
 
     def shift(self, s1: int, s2: int) -> "SpectralField":
         """Multiply by exp(i (s1, s2) . x): an exact frequency shift.
 
-        Requires the shifted band to stay inside the Nyquist square.
+        Requires every nonzero coefficient to stay inside the Nyquist
+        square: the guard takes the exact nonzero extent, since the shift
+        moves rounding-level content beyond ``band`` as well.
         """
         n = self.grid.n
         shift = max(abs(s1), abs(s2))
-        if self.band + shift > n // 2 - 1:
+        if _extent(self.coef) + shift > n // 2 - 1:
             raise ValueError(
-                f"shift by {(s1, s2)} pushes band {self.band} beyond grid n={n}"
+                f"shift by {(s1, s2)} pushes the content of band {self.band} "
+                f"beyond grid n={n}"
             )
-        c = np.roll(self.coef, (s1, s2), axis=(-2, -1))
+        c = np.zeros_like(self.coef)
+        add_shifted(c, self.coef, (s1, s2))
         return SpectralField(self.grid, c, band=self.band + shift)
 
     def regrid(self, grid: "Grid") -> "SpectralField":
@@ -489,25 +513,96 @@ def _physical(f: SpectralField, m: int, symbol=None) -> np.ndarray:
     return p
 
 
-def _dealiased(f: SpectralField, g: SpectralField, op):
-    """The coefficients of op of the samples of f and g, and their band
-    when known: unpadded when the band bounds prove that the result fits,
-    on the 3/2 grid otherwise; one field passed twice is sampled once."""
-    n = f.grid.n
-    band = f.band + g.band
+def product_sums(groups: dict, grid: Grid, op=np.multiply):
+    """(key, sum of op(f, g) over the pairs (f, g) of groups[key]) for each
+    key in order, as alias-free fields on ``grid``, computed as each is
+    taken.
+
+    One sampling grid serves the call: ``grid`` itself when the band
+    bounds prove that every pair's product fits, the 3/2 grid otherwise.
+    Each distinct field is sampled once, from its own grid (no larger than
+    ``grid``), and its samples go as soon as its last pair is formed; the
+    terms of a key are added in physical space and take one forward
+    transform.  ``op`` maps two sample stacks to one: ``np.multiply``,
+    ``_outer``, or ``sym_outer``, whose three planes (t11, t12, t22) give
+    a symmetric matrix.  The band of a sum is known when it is unpadded.
+    """
+    n = grid.n
+    if any(f.grid.n > n for pairs in groups.values() for p in pairs
+           for f in p):
+        raise ValueError(f"a factor's grid is finer than the product grid {n}")
+    band = max((f.band + g.band for pairs in groups.values()
+                for f, g in pairs), default=0)
     m = n if band <= n // 2 - 1 else (3 * n) // 2
-    pf = _physical(f, m)
-    phys = op(pf, pf if g is f else _physical(g, m))
-    del pf  # the samples go before the forward transform
-    return padded_spectral(phys, n), (band if m == n else None)
+    last = {id(f): i for i, pairs in enumerate(groups.values())
+            for p in pairs for f in p}
+    samples: dict = {}
+
+    def sample(f):
+        if id(f) not in samples:
+            samples[id(f)] = _physical(f, m)
+        return samples[id(f)]
+
+    for i, (key, pairs) in enumerate(groups.items()):
+        phys = None
+        for f, g in pairs:
+            term = op(sample(f), sample(g))
+            if phys is None:
+                phys = term
+            elif phys.dtype == np.result_type(phys, term):
+                phys += term
+            else:
+                phys = phys + term
+            del term
+        for k in [k for k, j in last.items() if j == i]:
+            del samples[k]  # the samples go before the transform
+        c = padded_spectral(phys, n)
+        del phys
+        if c.shape[:-2] == (3,):
+            c = c[[0, 1, 1, 2]].reshape((2, 2) + c.shape[1:])
+        yield key, SpectralField(grid, c, band=max(
+            f.band + g.band for f, g in pairs) if m == n else None)
 
 
-def _upper_outer(a: np.ndarray, _) -> np.ndarray:
-    """(a1 a1, a1 a2, a2 a2): the upper triangle of the samples a (x) a."""
-    t = np.empty((3,) + a.shape[1:], dtype=a.dtype)
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The samples a (x) b of two vectors, entries (i, j) = a_i b_j."""
+    return a[:, None] * b[None]
+
+
+def sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(t11, t12, t22) of the symmetric product t = (a (x) b + b (x) a)/2
+    of the samples of two vectors; for b = a, the planes of a (x) a bit
+    for bit (t12 = (a1 a2 + a1 a2)/2 exactly)."""
+    t = np.empty((3,) + a.shape[1:], dtype=np.result_type(a, b))
     for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
-        np.multiply(a[i], a[j], out=t[k])
+        np.multiply(a[i], b[j], out=t[k])
+    if b is not a:
+        t[1] += a[1] * b[0]
+        t[1] *= 0.5
     return t
+
+
+def add_shifted(acc: np.ndarray, c: np.ndarray, v) -> None:
+    """acc += c shifted in frequency by v = (v1, v2), for coefficients c
+    of a grid no finer than acc's: equal to adding ``np.roll`` of
+    ``_pad(c, n)`` by v, without either copy.  Each axis is cut where the
+    source or the target index wraps, so the adds are on plain slices."""
+    n, ns = acc.shape[-1], c.shape[-1]
+    runs = [list(_runs(ns, vj, n)) for vj in v]
+    for rs, rt in runs[0]:
+        for cs, ct in runs[1]:
+            acc[..., rt, ct] += c[..., rs, cs]
+
+
+def _runs(ns: int, v: int, n: int):
+    """(source, target) slices along one axis that carry index i of an
+    ns-grid, frequency k, to index (k + v) mod n of an n-grid."""
+    h = ns // 2
+    # position t = 0..ns-1 holds frequency t - h, at source (t - h) mod ns
+    cuts = sorted({0, h, ns} | ({(h - v) % n} & set(range(1, ns))))
+    for a, b in zip(cuts, cuts[1:]):
+        s, t = (a - h) % ns, (a - h + v) % n
+        yield slice(s, s + b - a), slice(t, t + b - a)
 
 
 def padded_physical(f: SpectralField) -> np.ndarray:
@@ -559,8 +654,9 @@ def modulus(f: SpectralField, symbol=None) -> np.ndarray:
         return np.abs(p)
     tot = None
     for q in p.reshape((-1,) + p.shape[-2:]):
-        sq = np.abs(q)
-        sq *= sq
+        # float samples square directly: |q| |q| = q q bit for bit
+        a = np.abs(q) if np.iscomplexobj(q) else q
+        sq = a * a
         tot = sq if tot is None else np.add(tot, sq, out=tot)
     return np.sqrt(tot, out=tot)
 

@@ -5,7 +5,8 @@ Every field in the construction evolves as a finite sum
 fields ``f_r`` (scalar, vector, or matrix).  Holding the terms keyed by
 rate keeps time derivatives, heat flow factors, products, and time
 mollification exact — no time discretization enters until the forced
-Navier-Stokes solver.
+Navier-Stokes solver.  A product of two series samples each term once and
+makes one forward transform per rate of the result.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .spectral import Grid, weighted_sum
+from .spectral import Grid, product_sums, weighted_sum
 
 
 def _add(f, g):
@@ -73,13 +74,22 @@ class ExpSeries:
         """Apply a spatial operation to every term."""
         return ExpSeries({r: op(f) for r, f in self.terms.items()})
 
-    def combine(self, other: "ExpSeries", op) -> "ExpSeries":
-        """Bilinear combination; rates add term by term."""
-        out = ExpSeries()
+    def pairs_by_rate(self, other: "ExpSeries") -> dict:
+        """{r + s: [(f, g), ...]} over the terms f e^{-rt} of this series
+        and g e^{-st} of ``other``, grouped by the key of the rate sum."""
+        out: dict = {}
         for r1, f1 in self.terms.items():
             for r2, f2 in other.terms.items():
-                out._accumulate(_key(r1 + r2), op(f1, f2))
+                out.setdefault(_key(r1 + r2), []).append((f1, f2))
         return out
+
+    def product(self, other: "ExpSeries", grid: Grid,
+                op=np.multiply) -> "ExpSeries":
+        """Bilinear product on ``grid``; rates add term by term, and the
+        products of one rate sum are added before one forward transform.
+        ``op`` acts on the samples, as in ``product_sums``."""
+        return ExpSeries(dict(product_sums(self.pairs_by_rate(other), grid,
+                                           op)))
 
     def scale_rates(self, extra: float) -> "ExpSeries":
         """Multiply the whole series by exp(-extra * t)."""

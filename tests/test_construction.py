@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from torusns import construction as cons
-from torusns.schedule import toy_schedule
+from torusns.schedule import ParamSchedule, toy_schedule
 from torusns.spectral import Grid
 
 GRID = Grid(1024)
@@ -104,6 +104,27 @@ def test_deferred_forcing_matches_eager(level_pair):
     for r, f in state.F1.terms.items():
         d = (f - lazy.F1.terms[r]).sup_norm()
         assert d <= 1e-12 * max(f.sup_norm(), 1.0)
+
+
+def test_forcing_transform_count(monkeypatch):
+    # grid 256, profile band 8, lam = (5, 10): each series product samples
+    # each term once and takes one forward transform per rate sum; a real
+    # sampling or forward transform is two single-axis calls
+    grid = Grid(256)
+    sched = ParamSchedule((5, 10), (5, 5))
+    seed = cons.seed_level(grid, sched)
+    builder = cons.EvenLevelBuilder(grid, sched, 2, seed, profile_band=8)
+    state = builder.build(with_forcing=False)
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
+                 "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name,
+            lambda *a, _fn=fn, _name=name, **k: calls.append(_name)
+            or _fn(*a, **k))
+    builder.assemble_forcing(state)
+    assert len(calls) == 314
 
 
 def test_heat_mode_residual_zero():

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from torusns import spectral
 from torusns.spaces import LittlewoodPaley
 from torusns.spectral import (Grid, MatrixField, SpectralField, VectorField,
-                              _pad, _truncate, calderon_lift, fit_grid,
-                              leray_project, modulus, padded_physical,
-                              padded_spectral)
+                              _pad, _truncate, add_shifted, calderon_lift,
+                              fit_grid, leray_project, modulus,
+                              padded_physical, padded_spectral, product_sums,
+                              sym_outer)
 
 GRID = Grid(64)
 
@@ -129,6 +130,19 @@ def test_shift_band_guard():
         f.shift(20, 0)
 
 
+def test_shift_guard_counts_rounding_level_content(rng):
+    # 1e-16 of the largest coefficient at k1 = +-30 is below the band (5)
+    # but not below the nonzero extent: a roll by 5 would carry the +30
+    # coefficient past Nyquist to k1 = -29
+    c = random_field(rng, band=5).coef
+    c[30, 0] = c[-30, 0] = 1e-16 * np.abs(c).max()
+    f = SpectralField(GRID, c)
+    assert f.band == 5
+    with pytest.raises(ValueError):
+        f.shift(5, 0)
+    assert f.shift(1, 0).coef[31, 0] == c[30, 0]
+
+
 def test_regrid_roundtrip_exact(rng):
     f = random_field(rng, band=10)
     back = f.regrid(Grid(256)).regrid(GRID)
@@ -189,6 +203,14 @@ def test_modulus_of_a_multiple_is_that_of_the_formed_field(rng):
         assert np.array_equal(modulus(f, w), modulus(f.apply_symbol(w)))
 
 
+def test_modulus_of_float_samples_squares_them_directly(rng):
+    v = VectorField(random_field(rng, band=31), random_field(rng, band=20))
+    p = padded_physical(v)
+    assert p.dtype == np.float64
+    want = np.sqrt(np.abs(p[0]) * np.abs(p[0]) + np.abs(p[1]) * np.abs(p[1]))
+    assert np.array_equal(modulus(v), want)
+
+
 def test_real_field_takes_real_samples(rng):
     f = random_field(rng, band=31)
     p = padded_physical(f)
@@ -246,6 +268,81 @@ def test_one_operand_passed_twice_is_sampled_once(rng, monkeypatch):
     got = f.product(f).coef, v.outer(v).coef
     assert len(calls) == 2 and calls[0] is f and calls[1] is v
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _factor(rng, kind, real, band, grid=GRID):
+    parts = [random_field(rng, grid=grid, band=band, real=real)
+             for _ in range(1 if kind == "scalar" else 2)]
+    return parts[0] if kind == "scalar" else VectorField(*parts)
+
+
+def _pairwise(f, g, op):
+    """The pairwise product of f and g on GRID that ``op`` stands for."""
+    f, g = f.regrid(GRID), g.regrid(GRID)
+    if op is np.multiply:
+        return f.product(g)
+    if op is sym_outer:
+        return 0.5 * (f.outer(g) + g.outer(f))
+    return f.outer(g)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("bands", [(6, 8), (20, 14)])
+@pytest.mark.parametrize("kind, op", [("scalar", np.multiply),
+                                      ("vector", spectral._outer),
+                                      ("vector", sym_outer)])
+def test_product_sums_equal_the_sums_of_pairwise_products(
+        rng, kind, op, real, bands):
+    # bands (6, 8) fit unpadded, (20, 14) take the 3/2 grid; h lives on a
+    # grid coarser than the product grid
+    f, g = (_factor(rng, kind, real, b) for b in bands)
+    h = _factor(rng, kind, real, 9, Grid(32))
+    groups = {"fg+hg": [(f, g), (h, g)], "ff": [(f, f)], "hf+hh": [(h, f),
+                                                                   (h, h)]}
+    got = dict(product_sums(groups, GRID, op))
+    assert list(got) == list(groups)
+    for key, pairs in groups.items():
+        want = _pairwise(*pairs[0], op)
+        for pair in pairs[1:]:
+            want = want + _pairwise(*pair, op)
+        scale = np.abs(want.coef).max()
+        assert got[key].coef.shape == want.coef.shape
+        assert np.abs(got[key].coef - want.coef).max() <= 1e-14 * scale
+
+
+def test_product_sums_sample_each_field_once_and_transform_each_key_once(
+        rng, monkeypatch):
+    f, g, h = (random_field(rng, band=b) for b in (12, 20, 7))
+    groups = {0: [(f, g), (f, h)], 1: [(g, h), (f, f)], 2: [(h, h)]}
+    sampled, forward = [], []
+    sample, transform = spectral._physical, spectral.padded_spectral
+    monkeypatch.setattr(spectral, "_physical",
+                        lambda *a: sampled.append(a[0]) or sample(*a))
+    monkeypatch.setattr(spectral, "padded_spectral",
+                        lambda *a: forward.append(a[0].shape) or transform(*a))
+    out = dict(product_sums(groups, GRID))
+    assert len(sampled) == 3 and {id(x) for x in sampled} == {
+        id(f), id(g), id(h)}
+    assert len(forward) == len(out) == 3
+
+
+def test_product_sums_refuse_a_factor_finer_than_the_product_grid(rng):
+    f = random_field(rng, grid=Grid(128), band=8)
+    with pytest.raises(ValueError):
+        dict(product_sums({0: [(f, f)]}, GRID))
+
+
+@pytest.mark.parametrize("ns", [16, 32, 64])
+@pytest.mark.parametrize("v", [(0, 0), (5, -3), (-31, 30), (17, 47),
+                               (-64, 100)])
+def test_add_shifted_is_pad_roll_add(rng, ns, v):
+    acc = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal(
+        (2, 64, 64))
+    c = rng.standard_normal((2, ns, ns)) + 1j * rng.standard_normal(
+        (2, ns, ns))
+    want = acc + np.roll(_pad(c, 64), v, axis=(-2, -1))
+    add_shifted(acc, c, v)
+    assert np.array_equal(acc, want)
 
 
 def _banded(rng, shape, band):

@@ -32,10 +32,10 @@ def test_dt_is_exact_derivative():
     assert (fd - exact).sup_norm() <= 1e-7 * max(exact.sup_norm(), 1.0)
 
 
-def test_combine_adds_rates():
+def test_product_adds_rates():
     a = ExpSeries({1.0: mode(1.0)})
     b = ExpSeries({2.0: mode(1.0)})
-    c = a.combine(b, lambda f, g: f.product(g))
+    c = a.product(b, GRID)
     assert list(c.terms) == [3.0]
 
 

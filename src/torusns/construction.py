@@ -294,8 +294,9 @@ class EvenLevelBuilder:
         envelopes = []
         for amp, phi in zip(amps, phis):
             pairs = amp.amp.pairs_by_rate(ExpSeries({0.0: phi}))
-            envelopes.append(ExpSeries({r: fit_grid(g) for r, g in
-                                        product_sums(pairs, self.grid)}))
+            envelopes.append(ExpSeries({
+                r: fit_grid(SpectralField(self.grid, c, band=band))
+                for r, c, band in product_sums(pairs, self.grid)}))
 
         state = LevelState(m=self.m, lam=self.lam, C0=C0,
                            w_p=None, R_wp=None)
@@ -419,7 +420,8 @@ class EvenLevelBuilder:
                 ugrid = own_grid(max(g.band for g in ea.terms.values()) +
                                  max(g.band for g in eb.terms.values()))
                 # u = sum of g_a g_b over the rate pairs of one sum r
-                for r, u in product_sums(ea.pairs_by_rate(eb), ugrid):
+                for r, c, ub in product_sums(ea.pairs_by_rate(eb), ugrid):
+                    u = SpectralField(ugrid, c, band=ub)
                     gu = u.gradient().coef
                     gu1, gu2 = gu
                     band = u.band
@@ -463,7 +465,7 @@ class EvenLevelBuilder:
                         if pi is not None:
                             add_shifted(acc(p11_acc, r, ()), pi, va)
                         add_shifted(acc(f11_acc, r, (2,)), fi, va)
-                    del u, gu, gu1, gu2, gka, gkb, cache
+                    del c, u, gu, gu1, gu2, gka, gkb, cache
 
         # mollification gap and profile-oscillation parts go into the
         # same accumulators (their rates are a subset of the above); both
@@ -489,10 +491,11 @@ class EvenLevelBuilder:
             for series, weight_field in ((gap, phi_sq), (amp.raw_sq, osc)):
                 for r, f in series.terms.items():
                     groups.setdefault(r, []).append((weight_field, f))
-            for r, sc in product_sums(groups, pgrid):
+            for r, c, band in product_sums(groups, pgrid):
+                sc = SpectralField(pgrid, c, band=band)
                 dv = (kb_outer * sc).divergence()
                 add_shifted(acc(f11_acc, r, (2,)), scale12 * dv.coef, (0, 0))
-                del sc, dv
+                del c, sc, dv
             del phi_sq, osc, mol_sq, gap, groups
 
         # cross interactions of the main/remainder split; their rates
@@ -534,7 +537,8 @@ def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
     div(f (x) f).  That is the sum of f (x) g over the ordered pairs, so
     either way the symmetric products (``sym_outer``, three planes) of one
     rate sum take one forward transform, on ``grid`` or on the smallest
-    grid that resolves them all."""
+    grid that resolves them all, and the divergence reads the planes
+    (t11, t12, t22) as the matrix with t21 = t12."""
     other = a if b is None else b
     if grid is None:
         grid = _grid_for(
@@ -542,8 +546,9 @@ def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
             max(g.band for g in other.terms.values()),
             max(f.grid.n for f in chain(a.terms.values(),
                                         other.terms.values())))
-    for q, t in product_sums(a.pairs_by_rate(other), grid, sym_outer):
-        dv = t.divergence()
+    for q, t, band in product_sums(a.pairs_by_rate(other), grid, sym_outer):
+        dv = SpectralField(grid, 1j * grid.k1 * t[0:2]
+                           + 1j * grid.k2 * t[1:3], band=band)
         del t
         yield q, dv if b is None else 2.0 * dv
 

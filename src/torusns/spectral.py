@@ -152,17 +152,6 @@ def _hermitian(c: np.ndarray, bound: np.ndarray) -> bool:
                      <= bound).all()) for a, b in pairs)
 
 
-def _extent(c: np.ndarray) -> int:
-    """Largest |xi|_inf of a nonzero coefficient in any component (0 for a
-    zero field): the exact extent, where ``band`` drops content below
-    1e-14 of the largest coefficient."""
-    n = c.shape[-1]
-    nz = c.reshape(-1, n, n).any(axis=0)
-    k = np.abs(_grid_cache(n)[0])
-    return int(max(k[nz.any(axis=1)].max(initial=0),
-                   k[nz.any(axis=0)].max(initial=0)))
-
-
 class SpectralField:
     """Scalar, vector or matrix field on the torus held as DFT coefficients.
 
@@ -343,33 +332,40 @@ class SpectralField:
     def product(self, other: "SpectralField") -> "SpectralField":
         """Alias-free product (3/2 zero-padding rule, or unpadded when the
         band bounds prove the result already fits)."""
-        (_, p), = product_sums({0: [(self, other)]}, self.grid)
-        return p
+        (_, c, band), = product_sums({0: [(self, other)]}, self.grid)
+        return SpectralField(self.grid, c, band=band)
 
     def outer(self, other: "SpectralField") -> "SpectralField":
         """self tensor other of two vectors, entries (i, j) = self_i other_j,
         alias-free as ``product``.  A real vector passed twice gives
         t21 = t12 bit for bit, so only (t11, t12, t22) are transformed."""
-        op = sym_outer if other is self and self.real_samples else _outer
-        (_, t), = product_sums({0: [(self, other)]}, self.grid, op)
-        return t
+        sym = other is self and self.real_samples
+        (_, c, band), = product_sums({0: [(self, other)]}, self.grid,
+                                     sym_outer if sym else _outer)
+        if sym:
+            c = c[[0, 1, 1, 2]].reshape((2, 2) + c.shape[1:])
+        return SpectralField(self.grid, c, band=band)
 
     def shift(self, s1: int, s2: int) -> "SpectralField":
         """Multiply by exp(i (s1, s2) . x): an exact frequency shift.
 
-        Requires every nonzero coefficient to stay inside the Nyquist
-        square: the guard takes the exact nonzero extent, since the shift
-        moves rounding-level content beyond ``band`` as well.
+        Requires the shifted band to stay inside the Nyquist square.
+        Content that the shift would carry across the Nyquist edge lies
+        beyond ``band``, so below 1e-14 of the largest coefficient; it is
+        dropped, not wrapped to the far side of the spectrum.
         """
         n = self.grid.n
         shift = max(abs(s1), abs(s2))
-        if _extent(self.coef) + shift > n // 2 - 1:
+        if self.band + shift > n // 2 - 1:
             raise ValueError(
-                f"shift by {(s1, s2)} pushes the content of band {self.band} "
-                f"beyond grid n={n}"
+                f"shift by {(s1, s2)} pushes band {self.band} beyond grid n={n}"
             )
         c = np.zeros_like(self.coef)
         add_shifted(c, self.coef, (s1, s2))
+        # the rows and columns that only wrapped content reaches
+        h = n // 2
+        c[..., h + min(s1, 0):h + max(s1, 0), :] = 0.0
+        c[..., h + min(s2, 0):h + max(s2, 0)] = 0.0
         return SpectralField(self.grid, c, band=self.band + shift)
 
     def regrid(self, grid: "Grid") -> "SpectralField":
@@ -514,9 +510,9 @@ def _physical(f: SpectralField, m: int, symbol=None) -> np.ndarray:
 
 
 def product_sums(groups: dict, grid: Grid, op=np.multiply):
-    """(key, sum of op(f, g) over the pairs (f, g) of groups[key]) for each
-    key in order, as alias-free fields on ``grid``, computed as each is
-    taken.
+    """(key, coef, band) for each key in order, computed as each is taken:
+    the alias-free coefficients on ``grid`` of the sum of op(f, g) over the
+    pairs (f, g) of groups[key], and their band (None when unknown).
 
     One sampling grid serves the call: ``grid`` itself when the band
     bounds prove that every pair's product fits, the 3/2 grid otherwise.
@@ -524,8 +520,9 @@ def product_sums(groups: dict, grid: Grid, op=np.multiply):
     ``grid``), and its samples go as soon as its last pair is formed; the
     terms of a key are added in physical space and take one forward
     transform.  ``op`` maps two sample stacks to one: ``np.multiply``,
-    ``_outer``, or ``sym_outer``, whose three planes (t11, t12, t22) give
-    a symmetric matrix.  The band of a sum is known when it is unpadded.
+    ``_outer``, or ``sym_outer``, whose three planes (t11, t12, t22) the
+    caller reads as a symmetric matrix.  The band of a sum is known when it
+    is unpadded.
     """
     n = grid.n
     if any(f.grid.n > n for pairs in groups.values() for p in pairs
@@ -558,10 +555,8 @@ def product_sums(groups: dict, grid: Grid, op=np.multiply):
             del samples[k]  # the samples go before the transform
         c = padded_spectral(phys, n)
         del phys
-        if c.shape[:-2] == (3,):
-            c = c[[0, 1, 1, 2]].reshape((2, 2) + c.shape[1:])
-        yield key, SpectralField(grid, c, band=max(
-            f.band + g.band for f, g in pairs) if m == n else None)
+        yield key, c, (max(f.band + g.band for f, g in pairs)
+                       if m == n else None)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -654,9 +649,11 @@ def modulus(f: SpectralField, symbol=None) -> np.ndarray:
         return np.abs(p)
     tot = None
     for q in p.reshape((-1,) + p.shape[-2:]):
-        # float samples square directly: |q| |q| = q q bit for bit
-        a = np.abs(q) if np.iscomplexobj(q) else q
-        sq = a * a
+        if np.iscomplexobj(q):
+            sq = np.abs(q)
+            sq *= sq
+        else:  # float samples square directly: |q| |q| = q q bit for bit
+            sq = q * q
         tot = sq if tot is None else np.add(tot, sq, out=tot)
     return np.sqrt(tot, out=tot)
 

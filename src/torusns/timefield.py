@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .spectral import Grid, product_sums, weighted_sum
+from .spectral import Grid, SpectralField, product_sums, weighted_sum
 
 
 def _add(f, g):
@@ -83,13 +83,11 @@ class ExpSeries:
                 out.setdefault(_key(r1 + r2), []).append((f1, f2))
         return out
 
-    def product(self, other: "ExpSeries", grid: Grid,
-                op=np.multiply) -> "ExpSeries":
+    def product(self, other: "ExpSeries", grid: Grid) -> "ExpSeries":
         """Bilinear product on ``grid``; rates add term by term, and the
-        products of one rate sum are added before one forward transform.
-        ``op`` acts on the samples, as in ``product_sums``."""
-        return ExpSeries(dict(product_sums(self.pairs_by_rate(other), grid,
-                                           op)))
+        products of one rate sum are added before one forward transform."""
+        return ExpSeries({q: SpectralField(grid, c, band=band) for q, c, band
+                          in product_sums(self.pairs_by_rate(other), grid)})
 
     def scale_rates(self, extra: float) -> "ExpSeries":
         """Multiply the whole series by exp(-extra * t)."""

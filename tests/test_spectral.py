@@ -130,17 +130,46 @@ def test_shift_band_guard():
         f.shift(20, 0)
 
 
-def test_shift_guard_counts_rounding_level_content(rng):
-    # 1e-16 of the largest coefficient at k1 = +-30 is below the band (5)
-    # but not below the nonzero extent: a roll by 5 would carry the +30
-    # coefficient past Nyquist to k1 = -29
+def _shift_dropping_wrap(c, s1, s2):
+    """np.roll of c by (s1, s2) with the rows and columns that only wrapped
+    content reaches set to zero."""
+    want = np.roll(c, (s1, s2), axis=(-2, -1))
+    h = c.shape[-1] // 2
+    want[..., h + min(s1, 0):h + max(s1, 0), :] = 0.0
+    want[..., h + min(s2, 0):h + max(s2, 0)] = 0.0
+    return want
+
+
+def test_shift_drops_rounding_level_content_that_would_wrap(rng):
+    # 1e-16 of the largest coefficient at k1 = +-30 is below the band (5):
+    # a roll by 5 would carry the +30 coefficient past Nyquist to k1 = -29
     c = random_field(rng, band=5).coef
     c[30, 0] = c[-30, 0] = 1e-16 * np.abs(c).max()
     f = SpectralField(GRID, c)
     assert f.band == 5
-    with pytest.raises(ValueError):
-        f.shift(5, 0)
-    assert f.shift(1, 0).coef[31, 0] == c[30, 0]
+    got = f.shift(5, 0).coef
+    assert got[-29, 0] == 0.0
+    assert got[-25, 0] == c[-30, 0]
+    assert np.array_equal(got, _shift_dropping_wrap(c, 5, 0))
+
+
+@pytest.mark.parametrize("s", [(3, -2), (-3, 2), (0, 3), (-1, 0)])
+def test_shift_takes_a_product_with_rounding_content_up_to_nyquist(rng, s):
+    # a product keeps rounding noise out to its grid's Nyquist; the band
+    # guard (26 + 3 <= 31) admits the shift, and the noise that would wrap
+    # is dropped
+    f, g = (random_field(rng, band=b, real=True) for b in (12, 14))
+    p = f.product(g)
+    assert p.band == 26
+    assert np.abs(p.coef[29:35]).max() > 0.0
+    got = p.shift(*s)
+    assert got.band == 26 + max(map(abs, s))
+    assert np.array_equal(got.coef, _shift_dropping_wrap(p.coef, *s))
+    x = Grid(256).points()
+    oracle = p.regrid(Grid(256)).to_physical() * np.exp(
+        1j * (s[0] * x[0] + s[1] * x[1]))
+    err = np.abs(got.regrid(Grid(256)).to_physical() - oracle).max()
+    assert err <= 1e-14 * np.abs(oracle).max()
 
 
 def test_regrid_roundtrip_exact(rng):
@@ -299,15 +328,18 @@ def test_product_sums_equal_the_sums_of_pairwise_products(
     h = _factor(rng, kind, real, 9, Grid(32))
     groups = {"fg+hg": [(f, g), (h, g)], "ff": [(f, f)], "hf+hh": [(h, f),
                                                                    (h, h)]}
-    got = dict(product_sums(groups, GRID, op))
+    got = {key: c for key, c, _ in product_sums(groups, GRID, op)}
     assert list(got) == list(groups)
     for key, pairs in groups.items():
         want = _pairwise(*pairs[0], op)
         for pair in pairs[1:]:
             want = want + _pairwise(*pair, op)
-        scale = np.abs(want.coef).max()
-        assert got[key].coef.shape == want.coef.shape
-        assert np.abs(got[key].coef - want.coef).max() <= 1e-14 * scale
+        want = want.coef
+        if op is sym_outer:  # the planes (t11, t12, t22)
+            want = want[(0, 0, 1), (0, 1, 1)]
+        scale = np.abs(want).max()
+        assert got[key].shape == want.shape
+        assert np.abs(got[key] - want).max() <= 1e-14 * scale
 
 
 def test_product_sums_sample_each_field_once_and_transform_each_key_once(
@@ -320,7 +352,7 @@ def test_product_sums_sample_each_field_once_and_transform_each_key_once(
                         lambda *a: sampled.append(a[0]) or sample(*a))
     monkeypatch.setattr(spectral, "padded_spectral",
                         lambda *a: forward.append(a[0].shape) or transform(*a))
-    out = dict(product_sums(groups, GRID))
+    out = list(product_sums(groups, GRID))
     assert len(sampled) == 3 and {id(x) for x in sampled} == {
         id(f), id(g), id(h)}
     assert len(forward) == len(out) == 3
@@ -329,7 +361,7 @@ def test_product_sums_sample_each_field_once_and_transform_each_key_once(
 def test_product_sums_refuse_a_factor_finer_than_the_product_grid(rng):
     f = random_field(rng, grid=Grid(128), band=8)
     with pytest.raises(ValueError):
-        dict(product_sums({0: [(f, f)]}, GRID))
+        list(product_sums({0: [(f, f)]}, GRID))
 
 
 @pytest.mark.parametrize("ns", [16, 32, 64])

@@ -27,7 +27,8 @@ from .geometry import (ID_WEIGHTS, LAMBDA, integer_frequency,
 from .profile import ConcentrationProfile
 from .schedule import ParamSchedule
 from .spectral import (Grid, MatrixField, SpectralField, VectorField,
-                       add_shifted, fit_grid, product_sums, sym_outer)
+                       add_shifted, fit_grid, grid_for, product_sums,
+                       sym_outer)
 from .timefield import ExpSeries, mollify_time
 
 
@@ -81,13 +82,6 @@ def mollify_spacetime(series: ExpSeries, ell: float) -> ExpSeries:
     return mollify_time(spatial, ell)
 
 
-def _grid_for(band: int, n: int = 64) -> Grid:
-    """Smallest power-of-two grid, at least n, resolving ``band``."""
-    while n // 2 - 1 < band:
-        n *= 2
-    return Grid(n)
-
-
 def _sqrt_series(const: float, series: ExpSeries) -> ExpSeries:
     """sqrt(const + series) as an exponential ladder.
 
@@ -97,7 +91,7 @@ def _sqrt_series(const: float, series: ExpSeries) -> ExpSeries:
     guarantees ~1e-6 here).
     """
     root = math.sqrt(const)
-    wide = _grid_for(2 * max(f.band for f in series.terms.values()))
+    wide = grid_for(2 * max(f.band for f in series.terms.values()))
     v = (1.0 / const) * series
     v2 = v.product(v, wide)
     one = SpectralField.from_modes(wide, {(0, 0): 1.0})
@@ -252,9 +246,7 @@ class EvenLevelBuilder:
     """
 
     def __init__(self, grid: Grid, schedule: ParamSchedule, m: int,
-                 prev: LevelState,
-                 profile: ConcentrationProfile | None = None,
-                 profile_band: int = 62):
+                 prev: LevelState, profile_band: int = 62):
         if m < 2 or m > schedule.levels:
             raise ValueError(f"level {m} outside the schedule")
         if prev.m != m - 1:
@@ -266,8 +258,7 @@ class EvenLevelBuilder:
         self.lam = schedule.lam(m)
         self.mu = schedule.mu(m)
         self.ell = schedule.ell(m - 1)
-        profile = profile or ConcentrationProfile()
-        self.realized = profile.realize(profile_band)
+        self.realized = ConcentrationProfile().realize(profile_band)
         self.pairs = _pair_data(self.lam)
 
     # -- building blocks --------------------------------------------------
@@ -317,10 +308,18 @@ class EvenLevelBuilder:
         self._assemble_f1(state, amps, phis, envelopes, C0)
         self._assemble_f2(state)
 
+    def _own_grid(self, band: int) -> Grid:
+        """The smallest grid holding ``band``, capped at the product grid."""
+        return Grid(min(grid_for(band).n, self.grid.n))
+
     # -- w_p: stream form, split, and lift ---------------------------------
     def _assemble_wp(self, state: LevelState, envelopes) -> None:
         lam = float(self.lam)
-        grid = self.grid
+        # the grid that holds every shifted envelope; when the product grid
+        # does not, the shifts there refuse
+        grid = self._own_grid(
+            max(g.band for env in envelopes for g in env.terms.values()) +
+            max(max(abs(kv[0]), abs(kv[1])) for _, _, kv in self.pairs))
         stream = ExpSeries()
         main = ExpSeries()
         rem = ExpSeries()
@@ -404,9 +403,6 @@ class EvenLevelBuilder:
                 store[rate] = np.zeros(shape + (n, n), dtype=complex)
             return store[rate]
 
-        def own_grid(band):
-            return Grid(min(_grid_for(band).n, n))
-
         npairs = len(self.pairs)
         for a in range(npairs):
             for b in range(a, npairs):
@@ -417,8 +413,9 @@ class EvenLevelBuilder:
                 kdot = float(kba @ kbb)
                 ka, kb = kba[:, None, None], kbb[:, None, None]
                 ea, eb = envelopes[a], envelopes[b]
-                ugrid = own_grid(max(g.band for g in ea.terms.values()) +
-                                 max(g.band for g in eb.terms.values()))
+                ugrid = self._own_grid(
+                    max(g.band for g in ea.terms.values()) +
+                    max(g.band for g in eb.terms.values()))
                 # u = sum of g_a g_b over the rate pairs of one sum r
                 for r, c, ub in product_sums(ea.pairs_by_rate(eb), ugrid):
                     u = SpectralField(ugrid, c, band=ub)
@@ -475,11 +472,11 @@ class EvenLevelBuilder:
         for (kf, kbf, kv), amp, phi in zip(self.pairs, amps, phis):
             kb_outer = np.outer(kbf, kbf)
             scaled_amp = (1.0 / math.sqrt(2000.0 * C0)) * amp.amp
-            wide = _grid_for(
+            wide = grid_for(
                 2 * max(f.band for f in scaled_amp.terms.values()))
             mol_sq = scaled_amp.product(scaled_amp, wide)
             gap = mol_sq - amp.raw_sq
-            pgrid = own_grid(2 * phi.band + max(
+            pgrid = self._own_grid(2 * phi.band + max(
                 f.band for f in chain(gap.terms.values(),
                                       amp.raw_sq.terms.values())))
             big_phi = phi.regrid(pgrid)
@@ -541,11 +538,11 @@ def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
     (t11, t12, t22) as the matrix with t21 = t12."""
     other = a if b is None else b
     if grid is None:
-        grid = _grid_for(
-            max(f.band for f in a.terms.values()) +
-            max(g.band for g in other.terms.values()),
-            max(f.grid.n for f in chain(a.terms.values(),
-                                        other.terms.values())))
+        band = (max(f.band for f in a.terms.values()) +
+                max(g.band for g in other.terms.values()))
+        n = max(f.grid.n for f in chain(a.terms.values(),
+                                        other.terms.values()))
+        grid = Grid(max(grid_for(band).n, n))
     for q, t, band in product_sums(a.pairs_by_rate(other), grid, sym_outer):
         dv = SpectralField(grid, 1j * grid.k1 * t[0:2]
                            + 1j * grid.k2 * t[1:3], band=band)
@@ -607,16 +604,16 @@ def check_lift(state: LevelState) -> float:
     return _max_coef(resid) / _series_scale(state.w_p)
 
 
-def pressure_contract_residual(state: LevelState, grid: Grid,
-                               times=(0.0, 1e-5, 5e-5, 1e-4, 2e-4)) -> dict:
-    """Residual of div(w_p o+ w_p) + d_t w_s = F1 + grad P1 at sample times.
+def pressure_contract_residual(state: LevelState, grid: Grid) -> dict:
+    """Residual of div(w_p o+ w_p) + d_t w_s = F1 + grad P1 at the sample
+    times t = 0, 1e-5, 5e-5, 1e-4 and 2e-4.
 
     Every piece is evaluated by exact spectral arithmetic on the product
     grid; the residual is normalized by the largest term magnitude.
     """
     ws_dt = state.w_s.dt()
     out = {}
-    for t in times:
+    for t in (0.0, 1e-5, 5e-5, 1e-4, 2e-4):
         w = state.w_p.at(t).regrid(grid)
         quad = w.outer(w).divergence()
         lhs = quad + ws_dt.at(t).regrid(grid)

@@ -20,7 +20,6 @@ Two exact facts are implemented:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,30 +65,6 @@ class DirectionSet:
             for c in k:
                 d = np.lcm(d, Fraction(c).denominator)
         return int(d)
-
-    def to_json(self) -> str:
-        data = {
-            "n_lambda": self.n_lambda,
-            "directions": [
-                [[Fraction(c).numerator, Fraction(c).denominator] for c in k]
-                for k in self.elements
-            ],
-        }
-        return json.dumps(data, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DirectionSet":
-        data = json.loads(text)
-        els = [tuple(Fraction(p, q) for p, q in k) for k in data["directions"]]
-        reps = []
-        seen = set()
-        for k in els:
-            if k in seen:
-                continue
-            seen.add(k)
-            seen.add((-k[0], -k[1]))
-            reps.append(k)
-        return cls(pairs=tuple(reps))
 
 
 LAMBDA = DirectionSet(pairs=(

@@ -106,21 +106,15 @@ def strict_schedule(
     b: int,
     levels: int,
     directions: DirectionSet = LAMBDA,
-    enforce_minimum: bool = True,
 ) -> ParamSchedule:
     """Double-exponential schedule ``lam_q = n_lambda**4 * a**(b**q)``.
 
     ``mu_q`` is chosen as the smallest multiple of ``n_lambda`` that is at
-    least ``lam_q ** (1/4)``.  With ``enforce_minimum`` the bases are
-    required to satisfy ``a, b >= 2**15`` as the quantitative estimates
-    demand; pass ``enforce_minimum=False`` to build small illustrative
-    schedules (e.g. ``a = b = 2`` gives ``lam_1 = 625 * 4 = 2500`` for the
-    standard direction set).
+    least ``lam_q ** (1/4)``.  The bases must satisfy ``a, b >= 2**15``,
+    as the quantitative estimates demand.
     """
-    if enforce_minimum and (a < STRICT_MIN_BASE or b < STRICT_MIN_BASE):
+    if a < STRICT_MIN_BASE or b < STRICT_MIN_BASE:
         raise ValueError(f"strict schedule requires a, b >= {STRICT_MIN_BASE}")
-    if a < 2 or b < 2:
-        raise ValueError("bases must be at least 2")
     n_lam = directions.n_lambda
     lams = []
     mus = []

@@ -284,39 +284,6 @@ def heat_duhamel(forcing: ExpSeries, t: float, grid: Grid) -> VectorField:
 # verification measurements
 # ---------------------------------------------------------------------------
 
-def ns_residual(traj: Trajectory, pressure=None) -> float:
-    """Normalized interior residual of unforced Navier-Stokes.
-
-    Time derivative by centered 4th-order finite differences on the
-    stored uniform states; pressure recovered by Leray projection when
-    absent.  Residual is max over interior times of
-    ||d_t u - Delta u + P(u.grad u)||_inf, normalized by
-    ||u||_C1 ||u||_inf + ||d_t u||_inf.
-    """
-    if len(traj.states) < 5:
-        raise ValueError("need at least 5 uniform samples")
-    if len(traj.times) > 1:
-        gaps = np.diff(np.asarray(traj.times))
-        if np.abs(gaps - gaps[0]).max() > 1e-12 * gaps[0]:
-            raise ValueError("stored times are not uniform")
-    dt = traj.times[1] - traj.times[0]
-    worst = 0.0
-    for i in range(2, len(traj.states) - 2):
-        u = traj.states[i]
-        dudt = (1.0 / (12.0 * dt)) * (
-            traj.states[i - 2] - 8.0 * traj.states[i - 1]
-            + 8.0 * traj.states[i + 1] - traj.states[i + 2])
-        nl = leray_project(u.outer(u).divergence())
-        resid = dudt - u.laplacian() + nl
-        scale = _c1_norm(u) * max(u.sup_norm(), 1e-300) + dudt.sup_norm()
-        worst = max(worst, resid.sup_norm() / max(scale, 1e-300))
-    return worst
-
-
-def _c1_norm(u: VectorField) -> float:
-    return max([u.sup_norm()] + [d.sup_norm() for d in u.gradient()])
-
-
 def energy_law_residual(traj: Trajectory) -> float:
     """Relative defect of d/dt ||u||_2^2 + 2 ||grad u||_2^2 = 0.
 

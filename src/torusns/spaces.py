@@ -29,7 +29,6 @@ __all__ = [
     "besov_norm",
     "chemin_lerner_norm",
     "cn_norm",
-    "bmo_inv_norm",
     "oscillatory_bound_check",
 ]
 
@@ -156,52 +155,6 @@ def cn_norm(f, n_order: int) -> float:
             best = max(best, float(modulus(SpectralField(g, d)).max()))
         total += best
     return float(total)
-
-
-def bmo_inv_norm(f, centers: int = 16, s_nodes: int = 16,
-                 mean_tol: float = 1e-10) -> float:
-    """Carleson-measure proxy for the BMO^{-1}-type norm via the heat
-    extension:
-
-        sup_{r, x} ( r^{-2} int_0^{r^2} ||e^{s Delta} f||^2_{L^2(B(x,r))} ds )^{1/2}
-
-    over dyadic radii r = 2^{-1} .. 2^{-floor(log2 n / 2)} and all grid
-    centers (the ball integral for every center at once is a convolution
-    with the disc indicator).  Log-spaced s quadrature.  Exactly
-    1-homogeneous by construction.  Requires mean zero.
-    """
-    grid = f.grid
-    scale = max(np.abs(f.coef).max(), 1e-300)
-    if np.abs(f.coef[..., 0, 0]).max() > mean_tol * scale:
-        raise ValueError("bmo_inv_norm requires a mean-zero field")
-    n = grid.n
-    x1, x2 = grid.points()
-    d1 = np.minimum(x1, 2.0 * np.pi - x1)
-    d2 = np.minimum(x2, 2.0 * np.pi - x2)
-    dist2 = d1 ** 2 + d2 ** 2
-    m_top = max(1, int(math.log2(n) // 2))
-    best = 0.0
-    for m in range(1, m_top + 1):
-        r = 2.0 ** (-m)
-        mask = (dist2 <= r * r).astype(np.float64)
-        mask_hat = np.fft.fft2(mask)
-        svals = np.geomspace(r * r * 1e-6, r * r, s_nodes)
-        integrand = []
-        for s in svals:
-            u = np.fft.ifft2(np.exp(-grid.ksq * s) * f.coef) * (n * n)
-            tot = (np.abs(u) ** 2).reshape(-1, n, n).sum(axis=0)
-            h2 = (2.0 * np.pi / n) ** 2
-            conv = np.fft.ifft2(np.fft.fft2(tot) * mask_hat).real * h2
-            integrand.append(conv)
-        integrand = np.array(integrand)
-        # trapezoid on the log axis plus the [0, s_min] head (integrand is
-        # bounded as s -> 0, so a rectangle head is within quadrature error)
-        logs = np.log(svals)
-        ball_int = np.trapezoid(integrand * svals[:, None, None], logs, axis=0)
-        ball_int += svals[0] * integrand[0]
-        val = math.sqrt(max(0.0, ball_int.max()) / (r * r))
-        best = max(best, val)
-    return float(best)
 
 
 def oscillatory_bound_check(envelope, k, lam: int, grid: Grid | None = None):

@@ -27,8 +27,13 @@ grouped by key, samples each distinct field once from its own grid, adds
 the products of one key in physical space and makes one forward transform
 per key.  ``product`` and ``outer`` pass one pair; a series product
 (``timefield.ExpSeries.product``) passes one key per rate sum.
-``add_shifted`` adds coefficients of a coarser grid into a finer array at a
-frequency offset, by slice-adds with no padded or rolled copy.
+``add_shifted`` is the one frequency shift: it adds coefficients of a grid
+no finer than the target's at a frequency offset, by slice-adds with no
+padded or rolled copy, and keeps only what lands at |xi|_inf <= n/2 - 1, as
+a cut does.  Nothing wraps, so a shift formed on any grid equals the same
+shift formed on a finer grid and cut back; ``SpectralField.shift`` and the
+construction's accumulators are calls of it.  ``grid_for`` is the one rule
+for the smallest grid that holds a band.
 
 A field whose samples are real (``real_samples``: every component
 Hermitian, and its Nyquist row and column, which ``_pad`` would embed on
@@ -112,9 +117,9 @@ class Grid:
         return x[:, None] * np.ones((1, n)), np.ones((n, 1)) * x[None, :]
 
 
-def _band_of(coef: np.ndarray, rel_tol: float = 1e-14) -> int:
+def _band_of(coef: np.ndarray) -> int:
     """Conservative |xi|_inf band bound of one component: largest |xi|_inf
-    carrying relative coefficient mass above rel_tol."""
+    carrying coefficient mass above 1e-14 of its largest."""
     n = coef.shape[0]
     k = _grid_cache(n)[0]
     mags = np.abs(coef)
@@ -123,7 +128,7 @@ def _band_of(coef: np.ndarray, rel_tol: float = 1e-14) -> int:
         return 0
     absk = np.abs(k)
     kinf = np.maximum(absk[:, None], absk[None, :])
-    sig = mags > rel_tol * m
+    sig = mags > 1e-14 * m
     if not sig.any():
         return 0
     return int(kinf[sig].max())
@@ -349,10 +354,10 @@ class SpectralField:
     def shift(self, s1: int, s2: int) -> "SpectralField":
         """Multiply by exp(i (s1, s2) . x): an exact frequency shift.
 
-        Requires the shifted band to stay inside the Nyquist square.
-        Content that the shift would carry across the Nyquist edge lies
-        beyond ``band``, so below 1e-14 of the largest coefficient; it is
-        dropped, not wrapped to the far side of the spectrum.
+        Requires the shifted band to stay inside the Nyquist square.  It is
+        ``add_shifted`` into zeros, so content that lands beyond
+        |xi|_inf = n/2 - 1 is dropped; it lies beyond ``band``, so below
+        1e-14 of the largest coefficient.
         """
         n = self.grid.n
         shift = max(abs(s1), abs(s2))
@@ -362,10 +367,6 @@ class SpectralField:
             )
         c = np.zeros_like(self.coef)
         add_shifted(c, self.coef, (s1, s2))
-        # the rows and columns that only wrapped content reaches
-        h = n // 2
-        c[..., h + min(s1, 0):h + max(s1, 0), :] = 0.0
-        c[..., h + min(s2, 0):h + max(s2, 0)] = 0.0
         return SpectralField(self.grid, c, band=self.band + shift)
 
     def regrid(self, grid: "Grid") -> "SpectralField":
@@ -579,9 +580,11 @@ def sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def add_shifted(acc: np.ndarray, c: np.ndarray, v) -> None:
     """acc += c shifted in frequency by v = (v1, v2), for coefficients c
-    of a grid no finer than acc's: equal to adding ``np.roll`` of
-    ``_pad(c, n)`` by v, without either copy.  Each axis is cut where the
-    source or the target index wraps, so the adds are on plain slices."""
+    of a grid no finer than acc's, by slice-adds with no padded or rolled
+    copy.  The rule is a cut's (``_pad``): content that lands at
+    |xi + v|_inf <= n/2 - 1 on acc's n-grid is added and the rest is
+    dropped.  Nothing wraps, so the shift formed on any grid equals the
+    same shift formed on a finer grid and then cut, bit for bit."""
     n, ns = acc.shape[-1], c.shape[-1]
     runs = [list(_runs(ns, vj, n)) for vj in v]
     for rs, rt in runs[0]:
@@ -590,13 +593,14 @@ def add_shifted(acc: np.ndarray, c: np.ndarray, v) -> None:
 
 
 def _runs(ns: int, v: int, n: int):
-    """(source, target) slices along one axis that carry index i of an
-    ns-grid, frequency k, to index (k + v) mod n of an n-grid."""
-    h = ns // 2
-    # position t = 0..ns-1 holds frequency t - h, at source (t - h) mod ns
-    cuts = sorted({0, h, ns} | ({(h - v) % n} & set(range(1, ns))))
+    """(source, target) slices along one axis that carry frequency k of an
+    ns-grid (-ns/2 <= k < ns/2) to k + v of an n-grid, for the k with
+    |k + v| <= n/2 - 1, cut where the source or the target index wraps."""
+    lo = max(-(ns // 2), 1 - n // 2 - v)
+    hi = max(lo, min(ns // 2, n // 2 - v))
+    cuts = sorted({lo, hi} | {k for k in (0, -v) if lo < k < hi})
     for a, b in zip(cuts, cuts[1:]):
-        s, t = (a - h) % ns, (a - h + v) % n
+        s, t = a % ns, (a + v) % n
         yield slice(s, s + b - a), slice(t, t + b - a)
 
 
@@ -676,18 +680,24 @@ def weighted_sum(fields, weights) -> SpectralField:
                          band=reduce(_max_band, (f._band for f in fields)))
 
 
-def fit_grid(field: SpectralField, min_n: int = 64) -> SpectralField:
-    """Re-represent a field on the smallest power-of-two grid holding its band.
+def grid_for(band: int) -> Grid:
+    """The smallest power-of-two grid, at least 64, that holds ``band``
+    (band <= n/2 - 1)."""
+    n = 64
+    while n // 2 - 1 < band:
+        n *= 2
+    return Grid(n)
+
+
+def fit_grid(field: SpectralField) -> SpectralField:
+    """Re-represent a field on the smallest grid holding its band
+    (``grid_for``), when that is smaller than its own.
 
     Exact (no information is lost); used to keep long-lived band-limited
     fields compact while products are still evaluated on finer grids.
     """
-    n = min_n
-    while n // 2 - 1 < field.band:
-        n *= 2
-    if n >= field.grid.n:
-        return field
-    return field.regrid(Grid(n))
+    grid = grid_for(field.band)
+    return field if grid.n >= field.grid.n else field.regrid(grid)
 
 
 # ---------------------------------------------------------------------------

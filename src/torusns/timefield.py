@@ -109,8 +109,8 @@ class ExpSeries:
         return (-1.0) * self
 
 
-@lru_cache(maxsize=4)
-def _bump_nodes(order: int = 8, panels: int = 32):
+@lru_cache(maxsize=None)
+def _bump_nodes():
     """Composite Gauss-Legendre rule on (0,1) for the normalized time bump.
 
     The bump is exp(-1/(u(1-u))) on (0,1).  A composite 8-node rule over
@@ -118,14 +118,15 @@ def _bump_nodes(order: int = 8, panels: int = 32):
     and normalizing the mass with the same rule makes constants mollify
     to themselves exactly.
     """
-    xs, ws = roots_legendre(order)
+    panels = 32
+    xs, ws = roots_legendre(8)
     u = np.concatenate([(i + 0.5 * (xs + 1.0)) / panels for i in range(panels)])
     w = np.tile(0.5 * ws / panels, panels)
     vals = w * np.exp(-1.0 / (u * (1.0 - u)))
     return u, vals / float(np.sum(vals))
 
 
-def time_kernel_factor(rate: float, ell: float, order: int = 8) -> float:
+def time_kernel_factor(rate: float, ell: float) -> float:
     """Mollification factor of ``exp(-rate t)`` for window length ``ell``.
 
     The time kernel averages over the future window (t, t + ell), so
@@ -134,12 +135,12 @@ def time_kernel_factor(rate: float, ell: float, order: int = 8) -> float:
     """
     if ell < 0:
         raise ValueError("window length must be nonnegative")
-    u, w = _bump_nodes(order)
+    u, w = _bump_nodes()
     return float(np.sum(w * np.exp(-rate * ell * u)))
 
 
-def mollify_time(series: ExpSeries, ell: float, order: int = 8) -> ExpSeries:
+def mollify_time(series: ExpSeries, ell: float) -> ExpSeries:
     """Exact time mollification of an exponential series."""
     return ExpSeries(
-        {r: time_kernel_factor(r, ell, order) * f for r, f in series.terms.items()}
+        {r: time_kernel_factor(r, ell) * f for r, f in series.terms.items()}
     )

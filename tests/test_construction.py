@@ -11,7 +11,7 @@ import pytest
 
 from torusns import construction as cons
 from torusns.schedule import ParamSchedule, toy_schedule
-from torusns.spectral import Grid
+from torusns.spectral import Grid, SpectralField
 
 GRID = Grid(1024)
 SCHED = toy_schedule()
@@ -125,6 +125,22 @@ def test_forcing_transform_count(monkeypatch):
             or _fn(*a, **k))
     builder.assemble_forcing(state)
     assert len(calls) == 314
+
+
+def test_wp_shifts_run_on_the_grid_that_holds_them(monkeypatch):
+    # grid 512, profile band 16, lam = (5, 10): the widest envelope moved
+    # by the largest |lam k|_inf fits on grid 256, where every shift of w_p
+    # and its split runs in place of the product grid
+    grid = Grid(512)
+    sched = ParamSchedule((5, 10), (5, 5))
+    seed = cons.seed_level(grid, sched)
+    builder = cons.EvenLevelBuilder(grid, sched, 2, seed, profile_band=16)
+    grids = []
+    shift = SpectralField.shift
+    monkeypatch.setattr(SpectralField, "shift", lambda self, *s: grids.append(
+        self.grid.n) or shift(self, *s))
+    builder.build(with_forcing=False)
+    assert grids and set(grids) == {256}
 
 
 def test_heat_mode_residual_zero():

@@ -71,12 +71,6 @@ def test_outside_ball_rejected():
         decompose_matrix(np.eye(2) + 2e-3 * np.eye(2))
 
 
-def test_json_roundtrip():
-    from torusns.geometry import DirectionSet
-    back = DirectionSet.from_json(LAMBDA.to_json())
-    assert back.elements == LAMBDA.elements
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 def test_decomposition_property(e11, e12, e22):

@@ -64,7 +64,6 @@ def test_shear_solution_exact_component():
     closed = exact * u0
     assert final.u1.sup_norm() <= 1e-8
     assert (final - closed).sup_norm() <= 1e-8 * closed.sup_norm()
-    assert slv.ns_residual(traj) <= 1e-8
 
 
 def test_energy_law_shear_and_tg():

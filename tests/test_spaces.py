@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torusns.spaces import (LittlewoodPaley, besov_norm, block_lp_norms,
-                            bmo_inv_norm, chemin_lerner_norm, cn_norm,
+                            chemin_lerner_norm, cn_norm,
                             oscillatory_bound_check, smooth_step)
 from torusns.spectral import Grid, SpectralField, VectorField
 
@@ -122,14 +122,6 @@ def test_cn_norm_vector_is_sup_of_modulus():
                     SpectralField.from_modes(GRID, {(1, 0): -0.5j, (-1, 0): 0.5j}))
     assert abs(cn_norm(v, 0) - v.sup_norm()) <= 1e-12
     assert abs(v.sup_norm() - 1.0) <= 1e-12
-
-
-def test_bmo_inv_homogeneity_and_embedding_direction():
-    rng = np.random.default_rng(29)
-    f = random_band_limited(rng, band=12)
-    v = bmo_inv_norm(f)
-    assert abs(bmo_inv_norm(2.0 * f) - 2.0 * v) <= 1e-10 * max(v, 1.0)
-    assert v > 0
 
 
 def test_oscillatory_bound_constant_cos_random():

@@ -130,14 +130,11 @@ def test_shift_band_guard():
         f.shift(20, 0)
 
 
-def _shift_dropping_wrap(c, s1, s2):
-    """np.roll of c by (s1, s2) with the rows and columns that only wrapped
-    content reaches set to zero."""
-    want = np.roll(c, (s1, s2), axis=(-2, -1))
-    h = c.shape[-1] // 2
-    want[..., h + min(s1, 0):h + max(s1, 0), :] = 0.0
-    want[..., h + min(s2, 0):h + max(s2, 0)] = 0.0
-    return want
+def _shift_by_cut(c, v, n=None):
+    """c shifted by v onto an n-grid (n defaults to c's): embedded on grid
+    512, where no shift used here wraps, rolled there and cut back to n."""
+    n = n or c.shape[-1]
+    return _pad(np.roll(_pad(c, 512), v, axis=(-2, -1)), n)
 
 
 def test_shift_drops_rounding_level_content_that_would_wrap(rng):
@@ -150,7 +147,7 @@ def test_shift_drops_rounding_level_content_that_would_wrap(rng):
     got = f.shift(5, 0).coef
     assert got[-29, 0] == 0.0
     assert got[-25, 0] == c[-30, 0]
-    assert np.array_equal(got, _shift_dropping_wrap(c, 5, 0))
+    assert np.array_equal(got, _shift_by_cut(c, (5, 0)))
 
 
 @pytest.mark.parametrize("s", [(3, -2), (-3, 2), (0, 3), (-1, 0)])
@@ -164,7 +161,7 @@ def test_shift_takes_a_product_with_rounding_content_up_to_nyquist(rng, s):
     assert np.abs(p.coef[29:35]).max() > 0.0
     got = p.shift(*s)
     assert got.band == 26 + max(map(abs, s))
-    assert np.array_equal(got.coef, _shift_dropping_wrap(p.coef, *s))
+    assert np.array_equal(got.coef, _shift_by_cut(p.coef, s))
     x = Grid(256).points()
     oracle = p.regrid(Grid(256)).to_physical() * np.exp(
         1j * (s[0] * x[0] + s[1] * x[1]))
@@ -372,7 +369,7 @@ def test_add_shifted_is_pad_roll_add(rng, ns, v):
         (2, 64, 64))
     c = rng.standard_normal((2, ns, ns)) + 1j * rng.standard_normal(
         (2, ns, ns))
-    want = acc + np.roll(_pad(c, 64), v, axis=(-2, -1))
+    want = acc + _shift_by_cut(c, v, 64)
     add_shifted(acc, c, v)
     assert np.array_equal(acc, want)
 
@@ -604,8 +601,6 @@ TRANSFORMS = {f"{lib}.{fn}" for lib in ("numpy.fft", "scipy.fft")
               for fn in ("fft", "ifft", "rfft", "irfft",
                          "fft2", "ifft2", "rfft2", "irfft2",
                          "fftn", "ifftn", "rfftn", "irfftn")}
-#: (module, function) allowed its own unpadded transforms
-TRANSFORM_ALLOWED = {("spaces.py", "bmo_inv_norm")}
 
 
 def _transform_uses(path):
@@ -684,8 +679,7 @@ def test_transforms_are_owned_by_spectral():
     assert (src / "spectral.py").is_file()
     stray = [(path.name, func, name)
              for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
-             for func, name in _transform_uses(path)
-             if (path.name, func) not in TRANSFORM_ALLOWED]
+             for func, name in _transform_uses(path)]
     assert stray == []
     own = {name for _, name in _transform_uses(src / "spectral.py")}
     assert own

@@ -31,8 +31,6 @@ def _base_config(args) -> driver.RunConfig:
     updates = {}
     if args.grid:
         updates["grid_n"] = args.grid
-    if args.toy:
-        updates["toy_mode"] = True
     if args.out:
         updates["out_dir"] = args.out
     if args.seed is not None:
@@ -178,8 +176,6 @@ def main(argv=None) -> int:
         description="Two-branch shear-seeded flows on the periodic plane")
     ap.add_argument("--config", help="INI file with a [run] section")
     ap.add_argument("--grid", type=int, help="spatial grid size (power of 2)")
-    ap.add_argument("--toy", action="store_true",
-                    help="use the small geometric frequency schedule")
     ap.add_argument("--out", help="output directory")
     ap.add_argument("--seed", type=int, help="random seed")
     sub = ap.add_subparsers(dest="command", required=True)

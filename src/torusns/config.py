@@ -1,7 +1,9 @@
 """INI-file round-tripping for run configurations.
 
 A single ``[run]`` section maps one-to-one onto the fields of
-``RunConfig``; unknown keys are rejected so typos fail loudly.
+``RunConfig``; unknown keys are rejected so typos fail loudly.  Tuple
+fields (the schedule's ``lams`` and ``mus``) are written and read as
+comma-separated integers.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ def load_config(path: str) -> RunConfig:
         if key not in known:
             raise ValueError(f"unknown config key {key!r} in {path}")
         tp = known[key]
-        if tp == "bool":
-            kwargs[key] = parser.getboolean(_SECTION, key)
+        if tp.startswith("tuple"):
+            kwargs[key] = tuple(int(x) for x in raw.split(","))
         elif tp == "int":
             kwargs[key] = parser.getint(_SECTION, key)
         elif tp == "float":
@@ -39,6 +41,8 @@ def load_config(path: str) -> RunConfig:
 
 def save_config(path: str, config: RunConfig) -> None:
     parser = configparser.ConfigParser()
-    parser[_SECTION] = {k: str(v) for k, v in asdict(config).items()}
+    parser[_SECTION] = {
+        k: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+        for k, v in asdict(config).items()}
     with open(path, "w") as fh:
         parser.write(fh)

@@ -24,32 +24,30 @@ import numpy as np
 from . import construction as cons
 from . import solver as slv
 from .profile import build_cutoffs
-from .schedule import (STRICT_MIN_BASE, ParamSchedule, strict_schedule,
-                       toy_schedule)
+from .schedule import ParamSchedule, toy_schedule
 from .spaces import besov_norm, chemin_lerner_norm
 from .spectral import Grid, VectorField
 
 LEDGER_VERSION = 1
+#: largest residual an identity check of a built level may leave
+IDENTITY_TOL = 1e-8
 
 
 @dataclass
 class RunConfig:
     """Everything a full run depends on.
 
-    The strict frequency schedule lam_q = n_lambda^4 a^{b^q} needs
-    a, b >= 2^15 and is astronomically out of numerical reach, so
-    ``toy_mode`` swaps in the small geometric schedule; constructing a
-    strict schedule with small bases is rejected with an explanation.
+    ``lams`` and ``mus`` are the frequency schedule, one entry per level
+    and at least ``levels`` entries; the default is the toy schedule
+    (``schedule.toy_schedule``), as the paper's double-exponential one is
+    out of numerical reach.  ``schedule()`` checks them.
     """
 
-    toy_mode: bool = True
-    a: int = 2 ** 15
-    b: int = 2 ** 15
-    ell_exp: float = 2.0
+    lams: tuple[int, ...] = toy_schedule().lams
+    mus: tuple[int, ...] = toy_schedule().mus
     levels: int = 2
     grid_n: int = 1024
     profile_band: int = 8
-    corrector_grid_n: int = 0      # 0: same as grid_n
     corrector_max_steps: int = 8
     cfl_safety: float = 0.5
     dt: float = 0.0                # 0: automatic (CFL at t=0 and decay rate)
@@ -58,15 +56,11 @@ class RunConfig:
     seed: int = 0
 
     def schedule(self) -> ParamSchedule:
-        if self.toy_mode:
-            return toy_schedule(max(self.levels + 1, 3))
-        if self.a < STRICT_MIN_BASE or self.b < STRICT_MIN_BASE:
+        if self.levels > len(self.lams):
             raise ValueError(
-                f"strict schedule requires a, b >= {STRICT_MIN_BASE}; "
-                f"got a={self.a}, b={self.b}: set toy_mode for desk-scale "
-                "runs")
-        return strict_schedule(self.a, self.b, max(self.levels, 2),
-                               ell_exp=self.ell_exp)
+                f"levels={self.levels} exceeds the schedule's length "
+                f"{len(self.lams)} (lams={self.lams})")
+        return ParamSchedule(tuple(self.lams), tuple(self.mus))
 
 
 @dataclass
@@ -127,8 +121,7 @@ def new_branch(config: RunConfig) -> BranchState:
     return BranchState(config=config, schedule=sched, grid=Grid(config.grid_n))
 
 
-def run_level(branch: BranchState, m: int,
-              identity_tol: float = 1e-8) -> "cons.LevelState":
+def run_level(branch: BranchState, m: int) -> "cons.LevelState":
     """Build level m, verify its identities, solve the corrector."""
     config = branch.config
     grid = branch.grid
@@ -154,10 +147,10 @@ def run_level(branch: BranchState, m: int,
     }
     contract = cons.pressure_contract_residual(state, grid)
     checks["pressure-absorption"] = max(contract.values())
-    failed = {k: v for k, v in checks.items() if v > identity_tol}
+    failed = {k: v for k, v in checks.items() if v > IDENTITY_TOL}
     for k, v in checks.items():
-        branch.record(f"identity/{k}", f"level-{m}", v, identity_tol,
-                      "pass" if v <= identity_tol else "fail")
+        branch.record(f"identity/{k}", f"level-{m}", v, IDENTITY_TOL,
+                      "pass" if v <= IDENTITY_TOL else "fail")
     if failed:
         raise RuntimeError(
             f"level {m} identity checks failed: "
@@ -179,8 +172,7 @@ def _solve_corrector(branch: BranchState, state, m: int) -> None:
     """Zero-datum forced run for the corrector of level m."""
     config = branch.config
     sched = branch.schedule
-    n = config.corrector_grid_n or config.grid_n
-    grid = Grid(n)
+    grid = branch.grid
     lam1 = sched.lam(1)
     t_end = config.t_end or 3.0 / lam1 ** 2
 
@@ -198,7 +190,7 @@ def _solve_corrector(branch: BranchState, state, m: int) -> None:
         return u
 
     sup0 = coupling_eval(0.0).sup_norm() + 1.0
-    h = 2.0 * math.pi / n
+    h = 2.0 * math.pi / grid.n
     dt = config.dt or min(0.25 / sched.lam(m) ** 2,
                           config.cfl_safety * h / sup0)
     cfg = slv.SolverConfig(dt=dt, t_end=t_end,

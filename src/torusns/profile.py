@@ -32,7 +32,7 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from .geometry import integer_frequency
+from .geometry import LAMBDA, integer_frequency
 from .schedule import ParamSchedule
 from .spaces import smooth_step
 from .spectral import Grid, SpectralField
@@ -205,7 +205,7 @@ class CutoffSystem:
 
     @property
     def directions(self) -> tuple:
-        return tuple(self.schedule.directions.pairs)
+        return LAMBDA.pairs
 
     def _intersect_unions(self, member) -> np.ndarray:
         """Minimum over levels of the maximum over directions of member.

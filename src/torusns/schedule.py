@@ -1,28 +1,30 @@
 """Frequency / concentration / mollification parameter schedules.
 
 Each level q of the iteration carries a shear frequency ``lam_q``, an
-intermittency frequency ``mu_q`` and a mollification scale ``ell_q``.
-Two regimes are supported:
+intermittency frequency ``mu_q`` and a mollification scale
+``ell_q = lam_q ** -ELL_EXP``.
 
-* the *strict* double-exponential schedule ``lam_q = n_lambda**4 * a**(b**q)``
-  with ``a, b >= 2**15``, which is what the quantitative estimates require
-  but is far outside what any grid can resolve; and
-* a *toy* schedule with small hand-picked frequencies, used for every
-  numerical experiment in this package.
+The paper's quantitative estimates need the double-exponential schedule
+``lam_q = n_lambda**4 * a**(b**q)`` with ``a, b >= 2**15`` and ``mu_q``
+the smallest multiple of ``n_lambda`` at least ``lam_q ** (1/4)``.  No
+run can use it: already ``lam_2`` holds ``a**(b**2) = 2**(15 * 2**30)``,
+an integer of about 2 GB, and no grid resolves such a frequency.  Every
+numerical experiment in this package therefore runs a small
+grid-resolvable schedule, by default the *toy* one below.
 
-In both regimes every ``lam_q`` and ``mu_q`` must be divisible by the
-direction-set denominator-clearing factor ``n_lambda`` so that all Fourier
-phases ``lam * k . x`` land on integer frequencies.
+Every ``lam_q`` and ``mu_q`` must be divisible by the direction-set
+denominator-clearing factor ``n_lambda`` so that all Fourier phases
+``lam * k . x`` land on integer frequencies.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .geometry import LAMBDA, DirectionSet
+from .geometry import LAMBDA
 
-STRICT_MIN_BASE = 2 ** 15
+#: mollification exponent: ``ell_q = lam_q ** -ELL_EXP``
+ELL_EXP = 2.0
 
 
 @dataclass(frozen=True)
@@ -34,25 +36,19 @@ class ParamSchedule:
     lams:
         Shear frequencies ``lam_1 < lam_2 < ...``, one per level.
     mus:
-        Intermittency frequencies, one per level, each dividing the
-        corresponding ``lam`` and a multiple of ``directions.n_lambda``.
-    ell_exp:
-        Mollification exponent: ``ell_q = lam_q ** (-ell_exp)``.
-    directions:
-        The direction set whose denominators the frequencies must clear.
+        Intermittency frequencies, one per level, each at most the
+        corresponding ``lam`` and a multiple of ``LAMBDA.n_lambda``.
     """
 
     lams: tuple[int, ...]
     mus: tuple[int, ...]
-    ell_exp: float = 2.0
-    directions: DirectionSet = field(default=LAMBDA)
 
     def __post_init__(self) -> None:
         if len(self.lams) != len(self.mus):
             raise ValueError("lams and mus must have equal length")
         if not self.lams:
             raise ValueError("schedule must have at least one level")
-        n_lam = self.directions.n_lambda
+        n_lam = LAMBDA.n_lambda
         prev = 0
         for lam, mu in zip(self.lams, self.mus):
             if lam <= prev:
@@ -68,8 +64,6 @@ class ParamSchedule:
                 )
             if mu <= 0 or mu > lam:
                 raise ValueError(f"mu={mu} must lie in (0, lam={lam}]")
-        if self.ell_exp <= 0:
-            raise ValueError("ell_exp must be positive")
 
     @property
     def levels(self) -> int:
@@ -90,56 +84,19 @@ class ParamSchedule:
         return self.mus[q - 1]
 
     def ell(self, q: int) -> float:
-        """Mollification scale of level ``q`` (1-based).
-
-        Underflows to 0.0 for frequencies beyond float range.
-        """
+        """Mollification scale of level ``q`` (1-based)."""
         self._check(q)
-        try:
-            return float(self.lams[q - 1]) ** (-self.ell_exp)
-        except OverflowError:
-            return 0.0
+        return float(self.lams[q - 1]) ** -ELL_EXP
 
 
-def strict_schedule(
-    a: int,
-    b: int,
-    levels: int,
-    directions: DirectionSet = LAMBDA,
-) -> ParamSchedule:
-    """Double-exponential schedule ``lam_q = n_lambda**4 * a**(b**q)``.
-
-    ``mu_q`` is chosen as the smallest multiple of ``n_lambda`` that is at
-    least ``lam_q ** (1/4)``.  The bases must satisfy ``a, b >= 2**15``,
-    as the quantitative estimates demand.
-    """
-    if a < STRICT_MIN_BASE or b < STRICT_MIN_BASE:
-        raise ValueError(f"strict schedule requires a, b >= {STRICT_MIN_BASE}")
-    n_lam = directions.n_lambda
-    lams = []
-    mus = []
-    for q in range(1, levels + 1):
-        lam = n_lam ** 4 * a ** (b ** q)
-        # integer fourth root (lam is far beyond float range)
-        root = math.isqrt(math.isqrt(lam))
-        while root ** 4 < lam:
-            root += 1
-        mu = n_lam * max(1, -(-root // n_lam))
-        lams.append(lam)
-        mus.append(mu)
-    return ParamSchedule(tuple(lams), tuple(mus), directions=directions)
-
-
-def toy_schedule(
-    levels: int = 3, directions: DirectionSet = LAMBDA
-) -> ParamSchedule:
+def toy_schedule(levels: int = 3) -> ParamSchedule:
     """Small grid-resolvable schedule used throughout the experiments.
 
     ``lam = (25, 125, 625, ...)`` (powers of 5 times ``n_lambda``) with
     ``mu = n_lambda = 5`` at every level, the nearest multiple of
     ``n_lambda`` to ``lam_1 ** (1/4)``.
     """
-    n_lam = directions.n_lambda
+    n_lam = LAMBDA.n_lambda
     lams = tuple(n_lam * 5 ** q for q in range(1, levels + 1))
     mus = tuple(n_lam for _ in range(levels))
-    return ParamSchedule(lams, mus, directions=directions)
+    return ParamSchedule(lams, mus)

@@ -76,28 +76,13 @@ class Trajectory:
             self.times.append(t)
             self.states.append(state)
 
-    def _stored(self, t: float):
-        """Index of the stored time within 1e-9 of a step of ``t``, or None."""
-        gaps = np.abs(np.asarray(self.times) - t)
-        i = int(np.argmin(gaps))
-        return i if gaps[i] <= 1e-9 * self.dt else None
-
-    def state_at(self, t: float):
-        """The state stored at time ``t`` (None on an empty trajectory);
-        a time not stored, beyond 1e-9 of a step, raises ValueError."""
-        if not self.times:
-            return None
-        i = self._stored(t)
-        if i is None:
-            raise ValueError(f"no state stored at t={t!r}")
-        return self.states[i]
-
     def interpolate(self, t: float):
         """The state at a time ``t`` of the stored span: the stored one at a
-        stored time, else linear in time between the two stored around t
-        (second order in the storage step)."""
-        i = self._stored(t)
-        if i is not None:
+        stored time (within 1e-9 of a step), else linear in time between
+        the two stored around t (second order in the storage step)."""
+        gaps = np.abs(np.asarray(self.times) - t)
+        i = int(np.argmin(gaps))
+        if gaps[i] <= 1e-9 * self.dt:
             return self.states[i]
         j = int(np.searchsorted(self.times, t))
         if j == 0 or j == len(self.times):

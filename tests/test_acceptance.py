@@ -119,7 +119,7 @@ class TestTwoBranchPipeline:
         # is only reached at frequencies far beyond a desk-scale grid, so
         # it is reported; the decay law is asserted between two levels.
         branch = pair_runs["branch"]
-        grid = Grid(branch.config.corrector_grid_n or branch.config.grid_n)
+        grid = branch.grid
         state = branch.levels[2]
         times = state.diagnostics["corrector_times"]
         t_end = times[-1]

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,33 @@ def one_level_config(tmp_path, **kw):
 
 
 def test_runconfig_ini_roundtrip(tmp_path):
-    cfg = driver.RunConfig(levels=3, grid_n=256, profile_band=16,
-                           seed=42, out_dir="x")
+    path = str(tmp_path / "run.ini")
+    for cfg in (driver.RunConfig(levels=3, grid_n=256, profile_band=16,
+                                 seed=42, out_dir="x"),
+                driver.RunConfig(levels=2, lams=(5, 10), mus=(5, 5))):
+        save_config(path, cfg)
+        assert load_config(path) == cfg
+
+
+def _other_value(f):
+    """A value of field ``f``'s type that differs from its default."""
+    v = f.default
+    if f.type.startswith("tuple"):
+        return tuple(x + 5 for x in v)
+    if f.type == "int":
+        return v + 1
+    if f.type == "float":
+        return v + 0.25
+    assert f.type == "str", f"no test value for field type {f.type!r}"
+    return f"{v}-other"
+
+
+def test_every_runconfig_field_roundtrips_through_ini(tmp_path):
+    # a field type the INI loader cannot parse fails here, not in a run
+    changed = {f.name: _other_value(f) for f in fields(driver.RunConfig)}
+    cfg = driver.RunConfig(**changed)
+    assert all(getattr(cfg, k) != getattr(driver.RunConfig(), k)
+               for k in changed)
     path = str(tmp_path / "run.ini")
     save_config(path, cfg)
     assert load_config(path) == cfg
@@ -43,10 +69,9 @@ def test_missing_section_rejected(tmp_path):
         load_config(str(path))
 
 
-def test_strict_schedule_guard():
-    cfg = driver.RunConfig(toy_mode=False, a=100, b=100)
-    with pytest.raises(ValueError):
-        cfg.schedule()
+def test_schedule_shorter_than_levels_rejected():
+    with pytest.raises(ValueError, match="length 3"):
+        driver.RunConfig(levels=4).schedule()
 
 
 def test_single_level_branchES_and_separation(tmp_path):
@@ -128,6 +153,14 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
     bad.write_text("[run]\nnope = 1\n")
     rc = cli.main(["--config", str(bad), "verify-geometry"])
     assert rc == 2
+
+
+def test_cli_unparsable_schedule_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[run]\nlams = 25, x\n")
+    rc = cli.main(["--config", str(bad), "verify-geometry"])
+    assert rc == 2
+    assert "unknown config key" not in capsys.readouterr().err
 
 
 def test_cli_missing_config_file_exit_two(tmp_path):

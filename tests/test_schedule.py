@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusns.schedule import (STRICT_MIN_BASE, ParamSchedule, strict_schedule,
-                              toy_schedule)
+from torusns.schedule import toy_schedule
 
 
 def test_toy_schedule_values():
@@ -25,17 +24,6 @@ def test_one_based_indexing_guard():
     s = toy_schedule()
     with pytest.raises((IndexError, ValueError)):
         s.lam(0)
-
-
-def test_strict_schedule_rejects_small_bases():
-    with pytest.raises(ValueError):
-        strict_schedule(100, 100, 2)
-
-
-def test_strict_schedule_accepts_min_base():
-    s = strict_schedule(STRICT_MIN_BASE, STRICT_MIN_BASE, 1)
-    assert s.levels == 1
-    assert s.lam(1).bit_length() > 100000
 
 
 @settings(max_examples=20, deadline=None)

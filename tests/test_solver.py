@@ -138,16 +138,6 @@ def test_real_state_with_real_forcing_stays_real():
         assert np.abs(p.imag).max() <= 1e-14 * np.abs(p).max()
 
 
-def test_state_at_refuses_times_not_stored():
-    cfg = slv.SolverConfig(dt=1e-3, t_end=5e-3, check_cfl=False)
-    traj = slv.solve_forced_ns(GRID, cfg, u0=slv.taylor_green(GRID))
-    assert traj.state_at(0.0) is traj.states[0]
-    assert traj.state_at(3 * 1e-3) is traj.states[3]
-    for t in (0.5e-3, 2.4e-3, 7e-3):
-        with pytest.raises(ValueError):
-            traj.state_at(t)
-
-
 def test_interpolate_between_stored_states():
     # Taylor-Green is exact, so the only error left is the linear-in-time
     # reading between stored steps: a(1-a) dt^2/2 |u''| with u'' = 4u

@@ -2,8 +2,8 @@
 
 A single ``[run]`` section maps one-to-one onto the fields of
 ``RunConfig``; unknown keys are rejected so typos fail loudly.  Tuple
-fields (the schedule's ``lams`` and ``mus``) are written and read as
-comma-separated integers.
+fields (the schedule's ``lams``) are written and read as comma-separated
+integers.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import construction as cons
 from . import solver as slv
+from .geometry import LAMBDA
 from .profile import build_cutoffs
 from .schedule import ParamSchedule, toy_schedule
 from .spaces import besov_norm, chemin_lerner_norm
@@ -37,14 +38,14 @@ IDENTITY_TOL = 1e-8
 class RunConfig:
     """Everything a full run depends on.
 
-    ``lams`` and ``mus`` are the frequency schedule, one entry per level
-    and at least ``levels`` entries; the default is the toy schedule
-    (``schedule.toy_schedule``), as the paper's double-exponential one is
-    out of numerical reach.  ``schedule()`` checks them.
+    ``lams`` is the frequency schedule, one entry per level and at least
+    ``levels`` entries, with ``mu = n_lambda`` at every level as in
+    ``schedule.toy_schedule``; the default is the toy schedule, as the
+    paper's double-exponential one is out of numerical reach.
+    ``schedule()`` checks it.
     """
 
     lams: tuple[int, ...] = toy_schedule().lams
-    mus: tuple[int, ...] = toy_schedule().mus
     levels: int = 2
     grid_n: int = 1024
     profile_band: int = 8
@@ -60,7 +61,8 @@ class RunConfig:
             raise ValueError(
                 f"levels={self.levels} exceeds the schedule's length "
                 f"{len(self.lams)} (lams={self.lams})")
-        return ParamSchedule(tuple(self.lams), tuple(self.mus))
+        return ParamSchedule(tuple(self.lams),
+                             (LAMBDA.n_lambda,) * len(self.lams))
 
 
 @dataclass

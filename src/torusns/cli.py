@@ -144,17 +144,15 @@ def cmd_export(args) -> int:
     config = _base_config(args)
     branch = driver.build_solution_pair(config)
     os.makedirs(config.out_dir, exist_ok=True)
-    payload = driver.ledger_payload(branch)
     if args.format == "json":
         path = os.path.join(config.out_dir, "export.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        driver.write_ledger(path, branch)
     elif args.format == "csv":
         path = os.path.join(config.out_dir, "export.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["name", "ref", "status", "value", "target"])
-            for e in payload["entries"]:
+            for e in branch.ledger:
                 writer.writerow([e["name"], e["ref"], e["status"],
                                  json.dumps(e["value"], sort_keys=True),
                                  json.dumps(e["target"], sort_keys=True)])

@@ -28,14 +28,19 @@ def load_config(path: str) -> RunConfig:
         if key not in known:
             raise ValueError(f"unknown config key {key!r} in {path}")
         tp = known[key]
-        if tp.startswith("tuple"):
-            kwargs[key] = tuple(int(x) for x in raw.split(","))
-        elif tp == "int":
-            kwargs[key] = parser.getint(_SECTION, key)
-        elif tp == "float":
-            kwargs[key] = parser.getfloat(_SECTION, key)
-        else:
-            kwargs[key] = raw
+        try:
+            if tp.startswith("tuple"):
+                kwargs[key] = tuple(int(x) for x in raw.split(","))
+            elif tp == "int":
+                kwargs[key] = parser.getint(_SECTION, key)
+            elif tp == "float":
+                kwargs[key] = parser.getfloat(_SECTION, key)
+            else:
+                kwargs[key] = raw
+        except ValueError as exc:
+            raise ValueError(
+                f"cannot parse config key {key!r} = {raw!r} in {path}: "
+                f"{exc}") from exc
     return RunConfig(**kwargs)
 
 

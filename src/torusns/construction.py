@@ -27,8 +27,8 @@ from .geometry import (ID_WEIGHTS, LAMBDA, integer_frequency,
 from .profile import ConcentrationProfile
 from .schedule import ParamSchedule
 from .spectral import (Grid, MatrixField, SpectralField, VectorField,
-                       add_shifted, fit_grid, grid_for, product_sums,
-                       sym_outer)
+                       add_shifted, fit_grid, flux_divergences, grid_for,
+                       product_sums)
 from .timefield import ExpSeries, mollify_time
 
 
@@ -532,10 +532,9 @@ def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
     and g e^{-st} of ``b`` with r + s = q; with ``b`` None, over the
     unordered pairs of terms of ``a``, a pair of one term giving
     div(f (x) f).  That is the sum of f (x) g over the ordered pairs, so
-    either way the symmetric products (``sym_outer``, three planes) of one
-    rate sum take one forward transform, on ``grid`` or on the smallest
-    grid that resolves them all, and the divergence reads the planes
-    (t11, t12, t22) as the matrix with t21 = t12."""
+    either way the symmetric products of one rate sum are one
+    ``flux_divergences`` key, on ``grid`` or on the smallest grid that
+    resolves them all."""
     other = a if b is None else b
     if grid is None:
         band = (max(f.band for f in a.terms.values()) +
@@ -543,10 +542,7 @@ def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
         n = max(f.grid.n for f in chain(a.terms.values(),
                                         other.terms.values()))
         grid = Grid(max(grid_for(band).n, n))
-    for q, t, band in product_sums(a.pairs_by_rate(other), grid, sym_outer):
-        dv = SpectralField(grid, 1j * grid.k1 * t[0:2]
-                           + 1j * grid.k2 * t[1:3], band=band)
-        del t
+    for q, dv in flux_divergences(a.pairs_by_rate(other), grid):
         yield q, dv if b is None else 2.0 * dv
 
 
@@ -615,7 +611,7 @@ def pressure_contract_residual(state: LevelState, grid: Grid) -> dict:
     out = {}
     for t in (0.0, 1e-5, 5e-5, 1e-4, 2e-4):
         w = state.w_p.at(t).regrid(grid)
-        quad = w.outer(w).divergence()
+        (_, quad), = flux_divergences({0: [(w, w)]}, grid)
         lhs = quad + ws_dt.at(t).regrid(grid)
         f1 = state.F1.at(t).regrid(grid)
         gp = state.P1.at(t).regrid(grid).gradient()

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
@@ -24,6 +22,7 @@ import numpy as np
 from . import construction as cons
 from . import solver as slv
 from .geometry import LAMBDA
+from .nsf2 import atomic_write
 from .profile import build_cutoffs
 from .schedule import ParamSchedule, toy_schedule
 from .spaces import besov_norm, chemin_lerner_norm
@@ -353,16 +352,5 @@ def ledger_payload(branch: BranchState) -> dict:
 
 def write_ledger(path: str, branch: BranchState) -> None:
     """Deterministic, atomic JSON dump (full-precision floats)."""
-    data = json.dumps(ledger_payload(branch), sort_keys=True,
-                      indent=1).encode()
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, json.dumps(ledger_payload(branch), sort_keys=True,
+                                  indent=1).encode())

@@ -9,7 +9,8 @@ Layout (little endian):
     data    ncomp * n * n complex coefficients, each stored as two f64
             (re, im), in standard DFT order, row-major.
 
-Writes are atomic (temp file + rename).
+Writes are atomic (temp file + rename); ``atomic_write`` is the one
+writer, which the run ledger uses too.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from .spectral import Grid, SpectralField, VectorField
 
 MAGIC = b"NSF2"
 VERSION = 1
+#: magic, version, n, ncomp and time
+HEADER_BYTES = 4 + 17
 
-__all__ = ["write_nsf2", "read_nsf2", "write_vector", "read_vector"]
+__all__ = ["write_nsf2", "read_nsf2", "write_vector", "read_vector",
+           "atomic_write"]
 
 
 def write_nsf2(path: str, fields: list[SpectralField], time: float) -> None:
@@ -39,7 +43,7 @@ def write_nsf2(path: str, fields: list[SpectralField], time: float) -> None:
     payload = b"".join(
         np.ascontiguousarray(f.coef.astype("<c16")).tobytes() for f in fields
     )
-    _atomic_write(path, header + payload)
+    atomic_write(path, header + payload)
 
 
 def read_nsf2(path: str):
@@ -48,15 +52,17 @@ def read_nsf2(path: str):
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ValueError("bad magic; not an NSF2 file")
-    version, n, ncomp, time = struct.unpack("<IIBd", raw[4:4 + 17])
+    if len(raw) < HEADER_BYTES:
+        raise ValueError("truncated NSF2 header")
+    version, n, ncomp, time = struct.unpack("<IIBd", raw[4:HEADER_BYTES])
     if version != VERSION:
         raise ValueError(f"unsupported NSF2 version {version}")
     grid = Grid(n)
-    need = 4 + 17 + ncomp * n * n * 16
+    need = HEADER_BYTES + ncomp * n * n * 16
     if len(raw) != need:
         raise ValueError("truncated or oversized NSF2 payload")
     out = []
-    off = 4 + 17
+    off = HEADER_BYTES
     for _ in range(ncomp):
         arr = np.frombuffer(raw, dtype="<c16", count=n * n, offset=off)
         out.append(SpectralField(grid, arr.reshape(n, n).astype(np.complex128)))
@@ -75,10 +81,12 @@ def read_vector(path: str):
     return VectorField(fields[0], fields[1]), time
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file in the same
+    directory and a rename, so no reader sees a partial file."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".nsf2-")
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

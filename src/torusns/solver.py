@@ -1,13 +1,15 @@
 """Pseudo-spectral time integration on the torus.
 
-One stepper serves three jobs: the forced corrector system (Navier-Stokes
-linearized around the explicit flows plus its own quadratic term and an
-external force), plain unforced Navier-Stokes for verification runs, and
-the linear transport-diffusion diagnostic.  The heat part is integrated
-exactly through multiplication by e^{-|xi|^2 dt}; the projected
-nonlinearity is advanced with the classical four-stage Runge-Kutta rule
-applied in the integrating-factor frame, which removes the stiffness of
-the fast decay rates.  Products are dealiased by the spectral core.
+One stepper serves the forced corrector system (Navier-Stokes linearized
+around the explicit flows plus its own quadratic term and an external
+force) and plain Navier-Stokes for verification runs; the linear
+transport-diffusion equation is stepped only as the reference that
+``heat_duhamel`` is tested against.  The heat part is integrated exactly
+through multiplication by e^{-|xi|^2 dt}; the projected nonlinearity is
+advanced with the classical four-stage Runge-Kutta rule applied in the
+integrating-factor frame, which removes the stiffness of the fast decay
+rates.  The advection is one call of the spectral core's
+``flux_divergences``, which dealiases it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.integrate import simpson
 
-from .spectral import (Grid, SpectralField, VectorField, leray_project,
-                       padded_physical, padded_spectral)
+from .spectral import (Grid, SpectralField, VectorField, flux_divergences,
+                       leray_project)
 from .timefield import ExpSeries
 
 #: a run stops as ``blow-up`` once the sup bound exceeds this multiple
@@ -31,12 +33,13 @@ BLOWUP_FACTOR = 1e6
 class SolverConfig:
     """Time-stepping parameters.
 
-    ``dt`` is fixed for the whole run (uniform trajectory times); the
-    CFL condition dt <= cfl_safety * h / max|u| is re-checked every step
+    ``dt`` is fixed for the whole run (uniform trajectory times).  With
+    ``check_cfl`` the CFL condition dt <= cfl_safety * h / max|u| is
+    re-checked every step, max|u| bounded by the state's coefficient sum,
     and a violation aborts with a diagnostic rather than silently
-    adapting.  ``max_steps`` caps runs whose CFL-stable step cannot
-    reach the horizon at desk scale; such runs return partial
-    trajectories marked accordingly.
+    adapting; without it no CFL check runs.  ``max_steps`` caps runs
+    whose step cannot reach the horizon at desk scale; such runs return
+    partial trajectories marked accordingly.
     """
 
     dt: float = 1e-3
@@ -160,30 +163,12 @@ def _run(grid, config, state0, rhs, tag) -> Trajectory:
     return traj
 
 
-def _fused_advection(w: VectorField, U: VectorField | None) -> VectorField:
-    """-div(w@w + w@U + U@w) with one shared 3/2-padded transform set.
-
-    Mathematically identical to composing the dealiased products, but
-    each velocity is transformed once per evaluation, in one call for
-    both components, and the flux returns in one call, which is what
-    makes full-band corrector steps affordable.
-    """
-    n = w.grid.n
-    # the flux is symmetric: t21 = t12, so one transform serves both
-    c = padded_spectral(_flux_samples(w, U), n)
-    mat = SpectralField(w.grid, c[[0, 1, 1, 2]].reshape(2, 2, n, n))
-    return -1.0 * mat.divergence()
-
-
-def _flux_samples(w: VectorField, U: VectorField | None) -> np.ndarray:
-    """(t11, t12, t22) of w@w + w@U + U@w on the 3/2 grid, stacked; the
-    velocity samples are freed on return, before the flux goes back."""
-    w1, w2 = padded_physical(w)
-    if U is None:
-        return np.stack((w1 * w1, w1 * w2, w2 * w2))
-    u1, u2 = padded_physical(U)
-    return np.stack((w1 * (w1 + 2.0 * u1), w1 * w2 + w1 * u2 + u1 * w2,
-                     w2 * (w2 + 2.0 * u2)))
+def _advection(w: VectorField, U: VectorField | None) -> VectorField:
+    """-div(w@w + w@U + U@w), the divergence of the one symmetric product
+    sym(w (x) (w + 2U)), or of w (x) w without U."""
+    v = w if U is None else w + 2.0 * U
+    (_, div), = flux_divergences({0: [(w, v)]}, w.grid)
+    return -div
 
 
 def solve_forced_ns(grid: Grid, config: SolverConfig,
@@ -202,7 +187,7 @@ def solve_forced_ns(grid: Grid, config: SolverConfig,
 
     def rhs(t, w):
         u = coupling(t) if coupling is not None else None
-        out = _fused_advection(w, u)
+        out = _advection(w, u)
         if forcing is not None:
             out = out - forcing(t)
         return leray_project(out)
@@ -336,8 +321,8 @@ def manufactured_error(grid: Grid, dt: float, t_end: float = 1.0) -> float:
     def forcing(t):
         u = exact(t)
         dudt = VectorField(da(t) * s2, db(t) * s1)
-        resid = dudt - u.laplacian() + leray_project(
-            u.outer(u).divergence())
+        (_, quad), = flux_divergences({0: [(u, u)]}, grid)
+        resid = dudt - u.laplacian() + leray_project(quad)
         # solver subtracts P F, so hand it -resid
         return -1.0 * resid
 

@@ -117,10 +117,12 @@ def besov_norm(f, s: float, p: float, q: float) -> float:
 def chemin_lerner_norm(times, fields, s: float, p: float, q: float,
                        r: float) -> float:
     """Time-mixed Besov norm: the time L^r norm is taken inside the block
-    sum.  `times` must be an increasing uniform-ish grid with >= 8 samples
-    spanning the interval; trapezoid quadrature in time for finite r.
-    `fields` may be any iterable (a generator keeps one field in memory
-    at a time), one field per time sample, all on one grid.
+    sum.  `times` are >= 8 strictly increasing samples spanning the
+    interval, at any spacing (the corrector window's samples,
+    `corrector_window_times`, are geometric); r = inf takes the largest
+    sample of each block, and only a finite r uses the trapezoid rule over
+    them.  `fields` may be any iterable (a generator keeps one field in
+    memory at a time), one field per time sample, all on one grid.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 8:

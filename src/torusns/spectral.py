@@ -20,13 +20,16 @@ conservative band bound shows the product already fits below the Nyquist
 frequency — by an unpadded transform (identical result, cheaper).  The
 3/2-padded transform pair (``padded_physical``/``padded_spectral``) and the
 pointwise modulus built on it (``modulus``) live here only; products, sup
-norms, block norms and the solver's advection all go through them.
+norms and block norms all go through them.
 
 Every product is a sum of products: ``product_sums`` takes pairs of fields
 grouped by key, samples each distinct field once from its own grid, adds
 the products of one key in physical space and makes one forward transform
 per key.  ``product`` and ``outer`` pass one pair; a series product
-(``timefield.ExpSeries.product``) passes one key per rate sum.
+(``timefield.ExpSeries.product``) passes one key per rate sum.  Every
+quadratic flux divergence, the solver's advection, F1's and F2's cross
+terms and the pressure contract's, is a ``flux_divergences`` call: the
+only reader of the three planes (t11, t12, t22) of a symmetric product.
 ``add_shifted`` is the one frequency shift: it adds coefficients of a grid
 no finer than the target's at a frequency offset, by slice-adds with no
 padded or rolled copy, and keeps only what lands at |xi|_inf <= n/2 - 1, as
@@ -65,7 +68,7 @@ __all__ = [
     "padded_physical",
     "padded_spectral",
     "product_sums",
-    "sym_outer",
+    "flux_divergences",
     "add_shifted",
 ]
 
@@ -118,20 +121,16 @@ class Grid:
 
 
 def _band_of(coef: np.ndarray) -> int:
-    """Conservative |xi|_inf band bound of one component: largest |xi|_inf
-    carrying coefficient mass above 1e-14 of its largest."""
-    n = coef.shape[0]
-    k = _grid_cache(n)[0]
+    """Conservative |xi|_inf band bound of a stack: the largest |xi|_inf
+    at which some component carries coefficient mass above 1e-14 of its
+    own largest; read off the rows and columns that hold any."""
+    n = coef.shape[-1]
     mags = np.abs(coef)
-    m = mags.max()
-    if m == 0.0:
-        return 0
-    absk = np.abs(k)
-    kinf = np.maximum(absk[:, None], absk[None, :])
-    sig = mags > 1e-14 * m
-    if not sig.any():
-        return 0
-    return int(kinf[sig].max())
+    sig = mags > 1e-14 * mags.max(axis=(-2, -1), keepdims=True)
+    sig = sig.reshape(-1, n, n).any(axis=0)
+    absk = np.abs(_grid_cache(n)[0])
+    return int(max(absk[sig.any(axis=1)].max(initial=0),
+                   absk[sig.any(axis=0)].max(initial=0)))
 
 
 #: relative size, per component, below which a defect of Hermitian symmetry
@@ -219,8 +218,7 @@ class SpectralField:
     @property
     def band(self) -> int:
         if self._band is None:
-            n = self.grid.n
-            self._band = max(_band_of(c) for c in self.coef.reshape(-1, n, n))
+            self._band = _band_of(self.coef)
         return self._band
 
     @property
@@ -342,13 +340,8 @@ class SpectralField:
 
     def outer(self, other: "SpectralField") -> "SpectralField":
         """self tensor other of two vectors, entries (i, j) = self_i other_j,
-        alias-free as ``product``.  A real vector passed twice gives
-        t21 = t12 bit for bit, so only (t11, t12, t22) are transformed."""
-        sym = other is self and self.real_samples
-        (_, c, band), = product_sums({0: [(self, other)]}, self.grid,
-                                     sym_outer if sym else _outer)
-        if sym:
-            c = c[[0, 1, 1, 2]].reshape((2, 2) + c.shape[1:])
+        alias-free as ``product``."""
+        (_, c, band), = product_sums({0: [(self, other)]}, self.grid, _outer)
         return SpectralField(self.grid, c, band=band)
 
     def shift(self, s1: int, s2: int) -> "SpectralField":
@@ -521,9 +514,9 @@ def product_sums(groups: dict, grid: Grid, op=np.multiply):
     ``grid``), and its samples go as soon as its last pair is formed; the
     terms of a key are added in physical space and take one forward
     transform.  ``op`` maps two sample stacks to one: ``np.multiply``,
-    ``_outer``, or ``sym_outer``, whose three planes (t11, t12, t22) the
-    caller reads as a symmetric matrix.  The band of a sum is known when it
-    is unpadded.
+    ``_outer``, or ``sym_outer``, whose three planes (t11, t12, t22)
+    ``flux_divergences`` reads as a symmetric matrix.  The band of a sum is
+    known when it is unpadded.
     """
     n = grid.n
     if any(f.grid.n > n for pairs in groups.values() for p in pairs
@@ -576,6 +569,20 @@ def sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t[1] += a[1] * b[0]
         t[1] *= 0.5
     return t
+
+
+def flux_divergences(groups: dict, grid: Grid):
+    """(key, div t) for each key in order, computed as each is taken: t is
+    the sum over the pairs (f, g) of vectors in groups[key] of the
+    symmetric products (f (x) g + g (x) f)/2, alias-free on ``grid`` as in
+    ``product_sums``; a pair (f, f) gives f (x) f.  Only the planes
+    (t11, t12, t22) are transformed, and the divergence reads them as the
+    matrix with t21 = t12."""
+    for key, t, band in product_sums(groups, grid, sym_outer):
+        div = SpectralField(grid, 1j * grid.k1 * t[0:2]
+                            + 1j * grid.k2 * t[1:3], band=band)
+        del t
+        yield key, div
 
 
 def add_shifted(acc: np.ndarray, c: np.ndarray, v) -> None:

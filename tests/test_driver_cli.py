@@ -156,10 +156,13 @@ def test_cli_bad_config_exit_two(tmp_path, capsys):
 
 def test_cli_unparsable_schedule_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[run]\nlams = 25, x\n")
-    rc = cli.main(["--config", str(bad), "verify-geometry"])
-    assert rc == 2
-    assert "unknown config key" not in capsys.readouterr().err
+    for key, raw in (("lams", "25, x"), ("levels", "two"), ("dt", "x")):
+        bad.write_text(f"[run]\n{key} = {raw}\n")
+        rc = cli.main(["--config", str(bad), "verify-geometry"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" not in err
+        assert repr(key) in err and str(bad) in err
 
 
 def test_cli_missing_config_file_exit_two(tmp_path):
@@ -181,6 +184,16 @@ def test_cli_export_json_levels_one(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "ledger.json").read_text())
     assert data["schedule"]["lams"][0] == 25
+
+
+def test_cli_export_json_equals_the_ledger(tmp_path):
+    ini = tmp_path / "one.ini"
+    ini.write_text("[run]\nlevels = 1\n")
+    args = ["--config", str(ini), "--out", str(tmp_path), "--grid", "256"]
+    assert cli.main(args + ["build-pair"]) == 0
+    assert cli.main(args + ["export", "--format", "json"]) == 0
+    assert (tmp_path / "export.json").read_bytes() == \
+        (tmp_path / "ledger.json").read_bytes()
 
 
 def test_cli_check_identities_seed_level_exit_two(tmp_path, capsys):

@@ -70,3 +70,19 @@ def test_corrupt_magic_rejected(tmp_path):
     open(path, "wb").write(bytes(data))
     with pytest.raises(ValueError):
         read_nsf2(path)
+
+
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "f.nsf2"
+    path.write_bytes(b"NSF2" + bytes(5))
+    with pytest.raises(ValueError, match="header"):
+        read_nsf2(str(path))
+
+
+def test_truncated_payload_rejected(tmp_path):
+    path = str(tmp_path / "f.nsf2")
+    write_nsf2(path, [rand_field(np.random.default_rng(7))], time=0.0)
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:-16])
+    with pytest.raises(ValueError, match="payload"):
+        read_nsf2(path)

@@ -122,6 +122,20 @@ def _real_velocity(rng, band):
     return SpectralField.from_modes(GRID, modes).perp_gradient()
 
 
+@pytest.mark.parametrize("band", [7, 20])
+def test_advection_is_minus_the_divergence_of_the_flux(band):
+    # band 7: w and w + 2U fit unpadded on GRID (7 + 7 <= 31); band 20
+    # takes the 3/2 grid
+    rng = np.random.default_rng(band)
+    w, U = _real_velocity(rng, band), _real_velocity(rng, band)
+    assert (w.band + (w + 2.0 * U).band <= GRID.n // 2 - 1) == (band == 7)
+    for u, flux in ((U, w.outer(w) + w.outer(U) + U.outer(w)),
+                    (None, w.outer(w))):
+        want = (-1.0 * flux.divergence()).coef
+        got = slv._advection(w, u).coef
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_real_state_with_real_forcing_stays_real():
     # band 20: every product is 3/2-padded, so a truncation that keeps
     # xi = -n/2 without +n/2 would feed the state a non-real part

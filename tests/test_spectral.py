@@ -12,9 +12,9 @@ from torusns import spectral
 from torusns.spaces import LittlewoodPaley
 from torusns.spectral import (Grid, MatrixField, SpectralField, VectorField,
                               _pad, _truncate, add_shifted, calderon_lift,
-                              fit_grid, leray_project, modulus,
-                              padded_physical, padded_spectral, product_sums,
-                              sym_outer)
+                              fit_grid, flux_divergences, leray_project,
+                              modulus, padded_physical, padded_spectral,
+                              product_sums, sym_outer)
 
 GRID = Grid(64)
 
@@ -455,18 +455,19 @@ def test_real_sampling_holds_one_half_spectrum():
     assert p.nbytes <= peak < 2 * half_bytes
 
 
-def test_outer_of_a_real_vector_with_itself_transforms_three_planes(
+def test_flux_divergences_of_a_real_vector_with_itself_transform_three_planes(
         rng, monkeypatch):
     v = VectorField(random_field(rng, band=31), random_field(rng, band=20))
-    want = v.outer(SpectralField(GRID, v.coef.copy())).coef
+    flux = v.outer(v)
+    assert np.array_equal(flux.a12.coef, flux.a21.coef)
+    want = flux.divergence().coef
     planes = []
     forward = spectral.padded_spectral
     monkeypatch.setattr(spectral, "padded_spectral",
                         lambda p, n: planes.append(p.shape[0]) or forward(p, n))
-    got = v.outer(v)
-    assert planes == [3]
+    (key, got), = flux_divergences({"vv": [(v, v)]}, GRID)
+    assert key == "vv" and planes == [3]
     assert np.array_equal(got.coef, want)
-    assert np.array_equal(got.a12.coef, got.a21.coef)
 
 
 def test_anti_hermitian_part_keeps_complex_samples(rng):
@@ -672,6 +673,22 @@ def test_field_internals_are_owned_by_spectral():
              if path.name != "spectral.py" or what == "isinstance"]
     assert stray == []
     assert _field_internals(src / "spectral.py")
+
+
+#: the 3/2 transform pair and the three-plane flux layout
+SPECTRAL_ONLY = {"padded_physical", "padded_spectral", "sym_outer"}
+
+
+def test_transform_pair_and_flux_planes_are_named_only_by_spectral():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "torusns"
+    stray = [(path.name, getattr(node, "lineno", None), name)
+             for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in (getattr(node, "id", None),
+                          getattr(node, "attr", None),
+                          getattr(node, "name", None))
+             if name in SPECTRAL_ONLY]
+    assert stray == []
 
 
 def test_transforms_are_owned_by_spectral():

@@ -119,7 +119,7 @@ def cmd_solve_fns(args) -> int:
         return 1
     print(f"corrector: status={traj.status}, steps={len(traj.step_times)}, "
           f"reached t={traj.final_time:.3e}, "
-          f"sup={max(traj.sup_norms):.3e}")
+          f"sup bound={max(traj.sup_bounds):.3e}")
     return _finish(branch, config)
 
 

@@ -33,8 +33,6 @@ def load_config(path: str) -> RunConfig:
                 kwargs[key] = tuple(int(x) for x in raw.split(","))
             elif tp == "int":
                 kwargs[key] = parser.getint(_SECTION, key)
-            elif tp == "float":
-                kwargs[key] = parser.getfloat(_SECTION, key)
             else:
                 kwargs[key] = raw
         except ValueError as exc:

@@ -41,7 +41,9 @@ class RunConfig:
     ``levels`` entries, with ``mu = n_lambda`` at every level as in
     ``schedule.toy_schedule``; the default is the toy schedule, as the
     paper's double-exponential one is out of numerical reach.
-    ``schedule()`` checks it.
+    ``schedule()`` checks it.  The corrector's dt and window are not
+    settings: dt is the smaller of 0.25 lam_m^{-2} and the CFL step of
+    the coupling at t = 0, and the window ends at 3 lam_1^{-2}.
     """
 
     lams: tuple[int, ...] = toy_schedule().lams
@@ -49,9 +51,6 @@ class RunConfig:
     grid_n: int = 1024
     profile_band: int = 8
     corrector_max_steps: int = 8
-    cfl_safety: float = 0.5
-    dt: float = 0.0                # 0: automatic (CFL at t=0 and decay rate)
-    t_end: float = 0.0             # 0: automatic (3 lam_1^{-2})
     out_dir: str = "out"
     seed: int = 0
 
@@ -175,7 +174,7 @@ def _solve_corrector(branch: BranchState, state, m: int) -> None:
     sched = branch.schedule
     grid = branch.grid
     lam1 = sched.lam(1)
-    t_end = config.t_end or 3.0 / lam1 ** 2
+    t_end = 3.0 / lam1 ** 2
 
     forcing_series = state.F1 + state.F2
     coupling = state.w_p + state.w_s
@@ -192,10 +191,8 @@ def _solve_corrector(branch: BranchState, state, m: int) -> None:
 
     sup0 = coupling_eval(0.0).sup_norm() + 1.0
     h = 2.0 * math.pi / grid.n
-    dt = config.dt or min(0.25 / sched.lam(m) ** 2,
-                          config.cfl_safety * h / sup0)
+    dt = min(0.25 / sched.lam(m) ** 2, slv.CFL_SAFETY * h / sup0)
     cfg = slv.SolverConfig(dt=dt, t_end=t_end,
-                           cfl_safety=config.cfl_safety,
                            max_steps=config.corrector_max_steps,
                            store_every=1, check_cfl=False)
     traj = slv.solve_forced_ns(grid, cfg, forcing=forcing,
@@ -255,7 +252,7 @@ def _level_norm_reports(branch: BranchState, state) -> None:
     wp0 = state.w_p.at(0.0)
     sup_wp = cons.series_sup(state.w_p)
     entries = [
-        ("inductive/velocity-sup", cons.series_sup(state.w_p) +
+        ("inductive/velocity-sup", sup_wp +
          (cons.series_sup(state.w_s) if state.w_s else 0.0),
          state.C0 * lam),
         ("inductive/perturbation-sup", sup_wp, c34 * lam),

@@ -38,19 +38,27 @@ from .spaces import smooth_step
 from .spectral import Grid, SpectralField
 
 
-@lru_cache(maxsize=8)
-def _cosine_coeffs(half_width: float, sigma: float, m_max: int) -> np.ndarray:
-    """Cosine coefficients c[m], m = 0..m_max, of the normalized profile.
+#: half-width of the indicator the ideal profile mollifies
+HALF_WIDTH = 1.0 / 200.0
+#: scale of its Gaussian mollification
+SIGMA = 1.0 / 1500.0
+#: 1D spectral resolution: cosine coefficients kept for |m| <= RESOLUTION/2
+RESOLUTION = 32768
+
+
+@lru_cache(maxsize=1)
+def _cosine_coeffs() -> np.ndarray:
+    """Cosine coefficients c[m], m = 0..RESOLUTION/2, of the ideal profile.
 
     phi(s) = c[0] + sum_{m>=1} 2 c[m] cos(m s), the Gaussian mollification
-    (scale ``sigma``) of the indicator of [-half_width, half_width],
+    (scale SIGMA) of the indicator of [-HALF_WIDTH, HALF_WIDTH],
     rescaled so that int_0^{2pi} phi^2 = 2pi (c0^2 + 2 sum c_m^2) = 1.
     """
-    m = np.arange(m_max + 1, dtype=np.float64)
-    c = np.empty(m_max + 1)
-    c[0] = half_width / math.pi
-    c[1:] = np.sin(m[1:] * half_width) / (m[1:] * math.pi)
-    c *= np.exp(-0.5 * (sigma * m) ** 2)
+    m = np.arange(RESOLUTION // 2 + 1, dtype=np.float64)
+    c = np.empty(len(m))
+    c[0] = HALF_WIDTH / math.pi
+    c[1:] = np.sin(m[1:] * HALF_WIDTH) / (m[1:] * math.pi)
+    c *= np.exp(-0.5 * (SIGMA * m) ** 2)
     norm = 2.0 * math.pi * (c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2))
     return c / math.sqrt(norm)
 
@@ -69,30 +77,13 @@ def _eval_cosine(coeffs: np.ndarray, s) -> np.ndarray:
     return out + res.reshape(s.shape)
 
 
-@dataclass(frozen=True)
 class ConcentrationProfile:
-    """Smooth even periodic bump with unit L^2 mass.
-
-    ``half_width`` is the half-width of the underlying indicator,
-    ``sigma`` the Gaussian mollification scale, ``resolution`` the 1D
-    spectral resolution (coefficients kept for |m| <= resolution/2).
-    """
-
-    half_width: float = 1.0 / 200.0
-    sigma: float = 1.0 / 1500.0
-    resolution: int = 32768
-
-    def __post_init__(self) -> None:
-        if self.half_width >= math.pi:
-            raise ValueError("half_width must be below pi")
-        if self.half_width <= 0 or self.sigma <= 0:
-            raise ValueError("half_width and sigma must be positive")
-        if self.resolution < 4096:
-            raise ValueError("resolution must be at least 4096")
+    """Smooth even periodic bump with unit L^2 mass: the ideal profile of
+    HALF_WIDTH, SIGMA and RESOLUTION."""
 
     @property
     def coeffs(self) -> np.ndarray:
-        return _cosine_coeffs(self.half_width, self.sigma, self.resolution // 2)
+        return _cosine_coeffs()
 
     def __call__(self, s) -> np.ndarray:
         return _eval_cosine(self.coeffs, s)

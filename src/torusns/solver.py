@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .spectral import (Grid, SpectralField, VectorField, flux_divergences,
                        leray_project)
@@ -27,6 +26,8 @@ from .timefield import ExpSeries
 #: a run stops as ``blow-up`` once the sup bound exceeds this multiple
 #: of its starting value
 BLOWUP_FACTOR = 1e6
+#: the CFL condition is dt <= CFL_SAFETY * h / max|u|
+CFL_SAFETY = 0.5
 
 
 @dataclass
@@ -34,7 +35,7 @@ class SolverConfig:
     """Time-stepping parameters.
 
     ``dt`` is fixed for the whole run (uniform trajectory times).  With
-    ``check_cfl`` the CFL condition dt <= cfl_safety * h / max|u| is
+    ``check_cfl`` the CFL condition dt <= CFL_SAFETY * h / max|u| is
     re-checked every step, max|u| bounded by the state's coefficient sum,
     and a violation aborts with a diagnostic rather than silently
     adapting; without it no CFL check runs.  ``max_steps`` caps runs
@@ -44,7 +45,6 @@ class SolverConfig:
 
     dt: float = 1e-3
     t_end: float = 1.0
-    cfl_safety: float = 0.5
     max_steps: int = 100000
     store_every: int = 1
     check_cfl: bool = True
@@ -55,8 +55,10 @@ class Trajectory:
     """Uniform-in-time solution record.
 
     ``times``/``states`` hold the stored subset (every ``store_every``-th
-    step); ``sup_norms``/``l2_norms`` are recorded at every accepted
-    step at ``step_times``.  ``status`` is ``completed`` or one of the
+    step).  At every accepted step, at ``step_times``, ``sup_bounds``
+    records the sup bound the stepper acts on (the sum of coefficient
+    magnitudes, which its CFL and blow-up tests read) and ``l2_norms``
+    the L^2 norm.  ``status`` is ``completed`` or one of the
     abort markers (``max-steps``, ``cfl``, ``blow-up``).
     """
 
@@ -65,15 +67,15 @@ class Trajectory:
     times: list = dc_field(default_factory=list)
     states: list = dc_field(default_factory=list)
     step_times: list = dc_field(default_factory=list)
-    sup_norms: list = dc_field(default_factory=list)
+    sup_bounds: list = dc_field(default_factory=list)
     l2_norms: list = dc_field(default_factory=list)
     status: str = "completed"
     forcing_record: str = "none"
     diagnostics: dict = dc_field(default_factory=dict)
 
-    def append(self, t: float, state, store: bool) -> None:
+    def append(self, t: float, state, sup_bound: float, store: bool) -> None:
         self.step_times.append(t)
-        self.sup_norms.append(state.sup_norm())
+        self.sup_bounds.append(sup_bound)
         self.l2_norms.append(state.l2_norm())
         if store:
             self.times.append(t)
@@ -134,8 +136,9 @@ def _run(grid, config, state0, rhs, tag) -> Trajectory:
     full = np.exp(-grid.ksq * dt)
     half = np.exp(-grid.ksq * (0.5 * dt))
     state = state0
-    traj.append(0.0, state, store=True)
-    scale0 = max(_sup_bound(state0), 1.0)
+    sup = _sup_bound(state)
+    traj.append(0.0, state, sup, store=True)
+    scale0 = max(sup, 1.0)
     t = 0.0
     step = 0
     n_steps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
@@ -144,10 +147,9 @@ def _run(grid, config, state0, rhs, tag) -> Trajectory:
             traj.status = "max-steps"
             traj.diagnostics["reached_t"] = t
             break
-        sup = _sup_bound(state)
-        if config.check_cfl and dt > config.cfl_safety * h / max(sup, 1e-300):
+        if config.check_cfl and dt > CFL_SAFETY * h / max(sup, 1e-300):
             traj.status = "cfl"
-            traj.diagnostics["cfl_bound"] = config.cfl_safety * h / sup
+            traj.diagnostics["cfl_bound"] = CFL_SAFETY * h / sup
             traj.diagnostics["reached_t"] = t
             break
         if sup > BLOWUP_FACTOR * scale0:
@@ -158,8 +160,9 @@ def _run(grid, config, state0, rhs, tag) -> Trajectory:
         state = _lawson_step(state, t, dt, rhs, full, half)
         step += 1
         t = step * dt
-        traj.append(t, state, store=(step % config.store_every == 0
-                                     or step == n_steps))
+        sup = _sup_bound(state)
+        traj.append(t, state, sup, store=(step % config.store_every == 0
+                                          or step == n_steps))
     return traj
 
 
@@ -258,15 +261,18 @@ def energy_law_residual(traj: Trajectory) -> float:
     """Relative defect of d/dt ||u||_2^2 + 2 ||grad u||_2^2 = 0.
 
     Integrated form over the run: |E(T) - E(0) + 2 int ||grad u||^2 dt|
-    relative to E(0), with trapezoid quadrature on the stored states.
+    relative to E(0), with composite Simpson quadrature on the stored
+    states, which must be equally spaced and odd in number.
     """
-    if len(traj.states) < 2:
-        raise ValueError("need at least 2 stored states")
+    if len(traj.states) < 3 or len(traj.states) % 2 == 0:
+        raise ValueError("Simpson's rule needs an odd number of at least "
+                         f"3 stored states, not {len(traj.states)}")
     e = [s.l2_norm() ** 2 for s in traj.states]
-    diss = [sum(d.l2_norm() ** 2 for d in s.gradient())
-            for s in traj.states]
+    d = np.array([sum(g.l2_norm() ** 2 for g in s.gradient())
+                  for s in traj.states])
     dt = traj.times[1] - traj.times[0]
-    integral = float(simpson(diss, dx=dt))
+    integral = float(np.sum(d[0:-2:2] + 4.0 * d[1:-1:2] + d[2::2])
+                     * (dt / 3.0))
     return abs(e[-1] - e[0] + 2.0 * integral) / max(e[0], 1e-300)
 
 

@@ -159,7 +159,7 @@ def cn_norm(f, n_order: int) -> float:
     return float(total)
 
 
-def oscillatory_bound_check(envelope, k, lam: int, grid: Grid | None = None):
+def oscillatory_bound_check(envelope, k, lam: int):
     """Compare ||f e^{i lam k.x}||_{B^{-1}_{inf,inf}} with the modulation
     bound lam^{-1} ||f||_inf + lam^{-2} ||f||_{C^2}.
 

@@ -275,16 +275,12 @@ class SpectralField:
                              band=self._band)
 
     # -- calculus ---------------------------------------------------------
-    def apply_symbol(self, symbol: np.ndarray,
-                     real: bool | None = None) -> "SpectralField":
+    def apply_symbol(self, symbol: np.ndarray) -> "SpectralField":
         """The Fourier multiplier ``symbol`` (n x n) on every component.
 
-        It cannot widen the band, which is kept; ``real`` passes on a known
-        answer of ``real_samples`` (a real even symbol keeps real samples
-        real).
+        It cannot widen the band, which is kept.
         """
-        return SpectralField(self.grid, symbol * self.coef, band=self._band,
-                             real=real)
+        return SpectralField(self.grid, symbol * self.coef, band=self._band)
 
     def dx(self, axis: int) -> "SpectralField":
         kk = self.grid.k1 if axis == 0 else self.grid.k2

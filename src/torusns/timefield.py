@@ -15,7 +15,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .spectral import Grid, SpectralField, product_sums, weighted_sum
 
@@ -116,10 +115,11 @@ def _bump_nodes():
     The bump is exp(-1/(u(1-u))) on (0,1).  A composite 8-node rule over
     32 panels integrates bump-weighted exponentials to machine precision,
     and normalizing the mass with the same rule makes constants mollify
-    to themselves exactly.
+    to themselves exactly.  The nodes and weights are numpy's
+    ``leggauss``.
     """
     panels = 32
-    xs, ws = roots_legendre(8)
+    xs, ws = np.polynomial.legendre.leggauss(8)
     u = np.concatenate([(i + 0.5 * (xs + 1.0)) / panels for i in range(panels)])
     w = np.tile(0.5 * ws / panels, panels)
     vals = w * np.exp(-1.0 / (u * (1.0 - u)))

@@ -377,7 +377,7 @@ def test_criterion_11_oscillatory_bound():
     worst = 0.0
     for lam in (32, 64, 128):
         for f in envelopes.values():
-            _, _, ratio = oscillatory_bound_check(f, (1, 0), lam, grid)
+            _, _, ratio = oscillatory_bound_check(f, (1, 0), lam)
             worst = max(worst, ratio)
     ok = worst <= 8.0
     detail = f"worst lhs/rhs ratio {worst:.3f} over 9 cases"

@@ -1,13 +1,18 @@
 """Integrating-factor solver: exactness, convergence, and diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torusns
 from torusns import solver as slv
 from torusns.construction import heat_mode_residual, sin_shear
-from torusns.spectral import Grid, SpectralField, VectorField
+from torusns.spectral import Grid, MatrixField, SpectralField, VectorField
 from torusns.timefield import ExpSeries
 
 GRID = Grid(64)
@@ -77,6 +82,55 @@ def test_energy_law_shear_and_tg():
     cfg2 = slv.SolverConfig(dt=1e-3, t_end=0.1, check_cfl=False)
     traj2 = slv.solve_forced_ns(GRID, cfg2, u0=slv.taylor_green(GRID))
     assert slv.energy_law_residual(traj2) <= 1e-7
+
+
+def _taylor_green_run():
+    """101 stored states of the Taylor-Green flow on GRID."""
+    cfg = slv.SolverConfig(dt=1e-3, t_end=0.1, check_cfl=False)
+    return slv.solve_forced_ns(GRID, cfg, u0=slv.taylor_green(GRID))
+
+
+def test_energy_law_simpson_is_scipys_bit_for_bit():
+    simpson = pytest.importorskip("scipy.integrate").simpson
+    traj = _taylor_green_run()
+    assert len(traj.states) == 101
+    e = [s.l2_norm() ** 2 for s in traj.states]
+    diss = [sum(d.l2_norm() ** 2 for d in s.gradient())
+            for s in traj.states]
+    integral = float(simpson(diss, dx=traj.times[1] - traj.times[0]))
+    want = abs(e[-1] - e[0] + 2.0 * integral) / e[0]
+    assert slv.energy_law_residual(traj) == want
+
+
+def test_energy_law_refuses_an_even_number_of_states():
+    traj = _taylor_green_run()
+    traj.times, traj.states = traj.times[:100], traj.states[:100]
+    with pytest.raises(ValueError, match="odd number"):
+        slv.energy_law_residual(traj)
+
+
+def test_steps_record_the_sup_bound_and_take_no_sampled_sup(monkeypatch):
+    def refuse(self):
+        raise AssertionError("sampled sup norm taken while stepping")
+
+    for cls in (SpectralField, VectorField, MatrixField):
+        monkeypatch.setattr(cls, "sup_norm", refuse)
+    traj = _taylor_green_run()
+    assert traj.status == "completed"
+    assert len(traj.sup_bounds) == len(traj.states) == 101
+    assert all(b == slv._sup_bound(s)
+               for b, s in zip(traj.sup_bounds, traj.states))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(torusns.__file__).resolve().parents[1])
+    code = ("import sys, torusns.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_heat_mode_cancellation():

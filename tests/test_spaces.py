@@ -134,5 +134,5 @@ def test_oscillatory_bound_constant_cos_random():
     }
     for lam in (32, 64, 128):
         for name, f in envelopes.items():
-            lhs, rhs, ratio = oscillatory_bound_check(f, (1, 0), lam, grid)
+            lhs, rhs, ratio = oscillatory_bound_check(f, (1, 0), lam)
             assert ratio <= 8.0, (name, lam, ratio)

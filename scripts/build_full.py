@@ -74,6 +74,7 @@ def main() -> None:
 
     print(f"sup w_p(0) = {state.w_p.at(0.0).sup_norm():.6e}")
     print(f"F1 rates: {sorted(state.F1.terms)}")
+    print(f"P1 rates: {sorted(state.P1.terms)}")
     print(f"F2 rates: {sorted(state.F2.terms)}")
     print(f"total {time.perf_counter() - t0:.1f}s, "
           f"peak RSS {peak_gb():.2f} GB")

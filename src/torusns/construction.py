@@ -385,11 +385,11 @@ class EvenLevelBuilder:
 
         The hot loops accumulate straight into per-rate coefficient
         arrays on the product grid.  Each envelope pair's products of one
-        rate sum are summed into one field u on the smallest grid that
-        holds its band, and its modulated integrands are slice-added into
-        the accumulators at their frequency offset.  This keeps the peak
-        footprint at the accumulators plus one rate sum's transients,
-        which is what fits next to the full-size build.
+        rate sum, less those below rounding (``pairs_by_rate``: 3 of the
+        5 sums of two square-root ladders), are summed into one field u
+        on the smallest grid that holds its band, and its modulated
+        integrands are slice-added into the accumulators at their
+        frequency offset: the peak is the accumulators plus one sum's.
         """
         lam = float(self.lam)
         lam2 = lam * lam

@@ -7,6 +7,10 @@ rate keeps time derivatives, heat flow factors, products, and time
 mollification exact — no time discretization enters until the forced
 Navier-Stokes solver.  A product of two series samples each term once and
 makes one forward transform per rate of the result.
+
+Every product forms its rate sums in ``ExpSeries.pairs_by_rate``, which
+skips a pair with an all-zero factor and leaves out a rate sum whose bound
+is below ``NEGLIGIBLE`` (1e-16) of the largest sum's at a larger rate.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import Grid, SpectralField, product_sums, weighted_sum
+
+#: share of a product's largest rate-sum bound below which a faster sum goes
+NEGLIGIBLE = 1e-16
 
 
 def _add(f, g):
@@ -75,12 +82,29 @@ class ExpSeries:
 
     def pairs_by_rate(self, other: "ExpSeries") -> dict:
         """{r + s: [(f, g), ...]} over the terms f e^{-rt} of this series
-        and g e^{-st} of ``other``, grouped by the key of the rate sum."""
-        out: dict = {}
-        for r1, f1 in self.terms.items():
-            for r2, f2 in other.terms.items():
-                out.setdefault(_key(r1 + r2), []).append((f1, f2))
-        return out
+        and g e^{-st} of ``other``, grouped by the key of the rate sum,
+        without what lies below rounding.
+
+        A pair with an all-zero factor is skipped.  A rate sum q is left
+        out when its bound B_q = sum ||f||_1 ||g||_1 over its pairs (the
+        coefficient moduli summed over all components, which bounds every
+        coefficient and the sup of the product) is below ``NEGLIGIBLE`` of
+        the largest bound B_top, and q exceeds the rate of that sum: then
+        B_q e^{-qt} < NEGLIGIBLE B_top e^{-q_top t} for every t >= 0.
+        """
+        def weighed(series):
+            return [(r, f, w) for r, f in series.terms.items()
+                    if (w := float(np.abs(f.coef).sum()))]
+
+        out, bound, terms = {}, {}, weighed(other)
+        for r1, f1, w1 in weighed(self):
+            for r2, f2, w2 in terms:
+                q = _key(r1 + r2)
+                out.setdefault(q, []).append((f1, f2))
+                bound[q] = bound.get(q, 0.0) + w1 * w2
+        top = max(bound, key=bound.get, default=None)
+        return {q: pairs for q, pairs in out.items()
+                if q <= top or bound[q] >= NEGLIGIBLE * bound[top]}
 
     def product(self, other: "ExpSeries", grid: Grid) -> "ExpSeries":
         """Bilinear product on ``grid``; rates add term by term, and the

@@ -11,7 +11,7 @@ import pytest
 
 from torusns import construction as cons
 from torusns.schedule import ParamSchedule, toy_schedule
-from torusns.spectral import Grid, SpectralField
+from torusns.spectral import Grid, SpectralField, product_sums
 
 GRID = Grid(1024)
 SCHED = toy_schedule()
@@ -124,7 +124,39 @@ def test_forcing_transform_count(monkeypatch):
             lambda *a, _fn=fn, _name=name, **k: calls.append(_name)
             or _fn(*a, **k))
     builder.assemble_forcing(state)
-    assert len(calls) == 314
+    assert len(calls) == 218
+
+
+def test_dropped_envelope_sums_lie_below_rounding():
+    # the configuration above: F1 and P1 keep three rates, and every rate
+    # sum that the product rule leaves out of an envelope pair, formed in
+    # full, has no coefficient above 1e-16 of the kept sums' largest
+    grid = Grid(256)
+    sched = ParamSchedule((5, 10), (5, 5))
+    seed = cons.seed_level(grid, sched)
+    builder = cons.EvenLevelBuilder(grid, sched, 2, seed, profile_band=8)
+    state = builder.build()
+    assert len(state.F1.rates) == 3 and len(state.P1.rates) == 3
+    envelopes = builder._ingredients[2]
+    dropped_any = False
+    for a, ea in enumerate(envelopes):
+        for eb in envelopes[a:]:
+            full: dict = {}
+            for r1, f1 in ea.terms.items():
+                for r2, f2 in eb.terms.items():
+                    full.setdefault(r1 + r2, []).append((f1, f2))
+            kept = ea.pairs_by_rate(eb)
+            ugrid = builder._own_grid(
+                max(g.band for g in ea.terms.values()) +
+                max(g.band for g in eb.terms.values()))
+            top = {q: np.abs(c).max()
+                   for q, c, _ in product_sums(full, ugrid)}
+            dropped = [q for q in full if q not in kept]
+            dropped_any = dropped_any or bool(dropped)
+            largest = max(top[q] for q in kept)
+            for q in dropped:
+                assert top[q] <= 1e-16 * largest, (a, q, top[q] / largest)
+    assert dropped_any
 
 
 def test_wp_shifts_run_on_the_grid_that_holds_them(monkeypatch):

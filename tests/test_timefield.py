@@ -39,6 +39,55 @@ def test_product_adds_rates():
     assert list(c.terms) == [3.0]
 
 
+def test_product_leaves_out_a_faster_sum_below_rounding():
+    # ||mode(a)||_1 = 2|a|: rate 0 bounds 4, rate 3 bounds 8e-9 and rate 6
+    # 4e-18, below 1e-16 of the top at a larger rate
+    a = ExpSeries({0.0: mode(1.0), 3.0: mode(1e-9, (2, 0))})
+    c = a.product(a, GRID)
+    assert sorted(c.terms) == [0.0, 3.0]
+
+
+def test_product_keeps_a_tiny_sum_slower_than_the_top():
+    # the same ladder with the large term at rate 5: the 4e-18 sum at rate
+    # 0 decays slower than the top and is kept
+    a = ExpSeries({5.0: mode(1.0), 0.0: mode(1e-9, (2, 0))})
+    c = a.product(a, GRID)
+    assert sorted(c.terms) == [0.0, 5.0, 10.0]
+    want = mode(1e-9, (2, 0)).product(mode(1e-9, (2, 0)))
+    assert np.array_equal(c.terms[0.0].coef, want.coef)
+
+
+def test_product_threshold_is_one_part_in_1e16():
+    # bounds 4 and 4 eps: eps just above 1e-16 is kept, just below is not
+    a = ExpSeries({0.0: mode(1.0)})
+    above = ExpSeries({0.0: mode(1.0), 2.0: mode(1.01e-16, (3, 0))})
+    below = ExpSeries({0.0: mode(1.0), 2.0: mode(0.99e-16, (3, 0))})
+    assert sorted(a.product(above, GRID).terms) == [0.0, 2.0]
+    assert sorted(a.product(below, GRID).terms) == [0.0]
+
+
+def test_product_skips_a_pair_with_a_zero_factor():
+    zero = SpectralField.zero(GRID)
+    b = ExpSeries({0.0: mode(0.5, (2, 0)), 1.0: mode(0.25, (0, 3))})
+    a = ExpSeries({0.0: mode(1.0), 1.0: zero})
+    pairs = a.pairs_by_rate(b)
+    assert sorted(pairs) == [0.0, 1.0]  # rate 2 pairs only the zero term
+    assert all(f is not zero for p in pairs.values() for f, _ in p)
+    got = a.product(b, GRID)
+    want = ExpSeries({0.0: mode(1.0)}).product(b, GRID)
+    assert sorted(got.terms) == sorted(want.terms)
+    for r, f in want.terms.items():
+        assert np.array_equal(got.terms[r].coef, f.coef)
+
+
+def test_product_of_zero_factors_is_empty():
+    zero = SpectralField.zero(GRID)
+    a = ExpSeries({0.0: zero, 3.0: zero})
+    b = ExpSeries({0.0: mode(1.0), 3.0: mode(0.5)})
+    assert a.product(b, GRID).terms == {}
+    assert b.product(a, GRID).terms == {}
+
+
 def test_scale_rates_shifts_all_rates():
     s = ExpSeries({1.0: mode(1.0), 4.0: mode(2.0)})
     shifted = s.scale_rates(10.0)

@@ -4,7 +4,8 @@ Runs the perturbation construction at n=2048 with the complete
 concentration-profile band, prints every identity residual and the
 pressure-absorption contract, and reports wall time plus peak memory.
 Each timed phase prints its time and the process's peak RSS
-(``ru_maxrss``) so far.
+(``ru_maxrss``) so far.  It also prints the grid each series stores each
+rate on, and the grid the pressure contract runs on.
 """
 
 import argparse
@@ -67,6 +68,11 @@ def main() -> None:
         print(f"{label:11s}: {val:.3e}", flush=True)
     mark("identity checks")
 
+    for name in ("w_p", "w_s", "F1", "P1", "F2"):
+        terms = sorted(getattr(state, name).terms.items())
+        print(f"{name} grids: " + ", ".join(
+            f"{r:g}: {f.grid.n}" for r, f in terms), flush=True)
+    print(f"contract grid: {cons.contract_grid(state, grid).n}", flush=True)
     contract = cons.pressure_contract_residual(state, grid)
     for t, v in contract.items():
         print(f"contract t={t:g}: {v:.3e}", flush=True)

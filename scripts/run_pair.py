@@ -21,7 +21,7 @@ from torusns import driver
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=int, default=1024,
-                    help="product grid size (power of two)")
+                    help="product grid size (a 5-smooth multiple of 4)")
     ap.add_argument("--band", type=int, default=8,
                     help="concentration profile band budget")
     ap.add_argument("--levels", type=int, default=2)

@@ -173,7 +173,8 @@ def main(argv=None) -> int:
         prog="torusns",
         description="Two-branch shear-seeded flows on the periodic plane")
     ap.add_argument("--config", help="INI file with a [run] section")
-    ap.add_argument("--grid", type=int, help="spatial grid size (power of 2)")
+    ap.add_argument("--grid", type=int,
+                    help="spatial grid size (a 5-smooth multiple of 4)")
     ap.add_argument("--out", help="output directory")
     ap.add_argument("--seed", type=int, help="random seed")
     sub = ap.add_subparsers(dest="command", required=True)

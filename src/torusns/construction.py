@@ -91,7 +91,7 @@ def _sqrt_series(const: float, series: ExpSeries) -> ExpSeries:
     guarantees ~1e-6 here).
     """
     root = math.sqrt(const)
-    wide = grid_for(2 * max(f.band for f in series.terms.values()))
+    wide = grid_for(2 * _series_band(series))
     v = (1.0 / const) * series
     v2 = v.product(v, wide)
     one = SpectralField.from_modes(wide, {(0, 0): 1.0})
@@ -138,7 +138,10 @@ def build_amplitudes(
                 float(c11) * M.a11 + float(c12) * M.a12 + float(c22) * M.a22
             )
         )
-        lin = ExpSeries({r: fit_grid(f) for r, f in lin.terms.items()})
+        # an all-zero term (a direction the previous lift does not see)
+        # would only form products and divergences of zeros
+        lin = ExpSeries({r: fit_grid(f) for r, f in lin.terms.items()
+                         if f.coef.any()})
         raw_sq = ExpSeries({0.0: _const_field(grid, const)}) + lin
         ladder = _sqrt_series(const, lin)
         # truncation error of the order-2 square-root expansion
@@ -312,13 +315,33 @@ class EvenLevelBuilder:
         """The smallest grid holding ``band``, capped at the product grid."""
         return Grid(min(grid_for(band).n, self.grid.n))
 
+    def _f1_grid(self, amps, phis, envelopes, main, rem) -> Grid:
+        """The grid of F1's and P1's accumulators: the smallest that holds
+        an upper bound of the band of every term ``_assemble_f1`` adds,
+        capped at the product grid.  The bound takes each envelope pair's
+        two widest terms moved by its widest shift, each direction's
+        mollification gap and oscillation parts (2 band(phi) plus the wider
+        of 2 band(amp) and band(raw_sq)), and the main x remainder cross
+        terms."""
+        top = [_series_band(env) for env in envelopes]
+        pair = max(
+            top[a] + top[b] + max(abs(ka[i] + s * kb[i])
+                                  for i in (0, 1) for s in (1, -1))
+            for a, (_, _, ka) in enumerate(self.pairs)
+            for b, (_, _, kb) in enumerate(self.pairs) if b >= a)
+        gap = max(2 * phi.band + max(2 * _series_band(amp.amp),
+                                     _series_band(amp.raw_sq))
+                  for amp, phi in zip(amps, phis))
+        cross = _series_band(main) + _series_band(rem)
+        return self._own_grid(max(pair, gap, cross, 2 * _series_band(rem)))
+
     # -- w_p: stream form, split, and lift ---------------------------------
     def _assemble_wp(self, state: LevelState, envelopes) -> None:
         lam = float(self.lam)
         # the grid that holds every shifted envelope; when the product grid
         # does not, the shifts there refuse
         grid = self._own_grid(
-            max(g.band for env in envelopes for g in env.terms.values()) +
+            max(_series_band(env) for env in envelopes) +
             max(max(abs(kv[0]), abs(kv[1])) for _, _, kv in self.pairs))
         stream = ExpSeries()
         main = ExpSeries()
@@ -384,16 +407,21 @@ class EvenLevelBuilder:
         """Assemble the quadratic error and its pressure.
 
         The hot loops accumulate straight into per-rate coefficient
-        arrays on the product grid.  Each envelope pair's products of one
-        rate sum, less those below rounding (``pairs_by_rate``: 3 of the
-        5 sums of two square-root ladders), are summed into one field u
-        on the smallest grid that holds its band, and its modulated
-        integrands are slice-added into the accumulators at their
-        frequency offset: the peak is the accumulators plus one sum's.
+        arrays on the smallest grid that holds every term they add
+        (``_f1_grid``), so no slice-add cuts anything.  Each envelope
+        pair's products of one rate sum, less those below rounding
+        (``pairs_by_rate``: 3 of the 5 sums of two square-root ladders),
+        are summed into one field u on the smallest grid that holds its
+        band, and its modulated integrands are slice-added into the
+        accumulators at their frequency offset: the peak is the
+        accumulators plus one sum's.  Every part is formed on its own
+        grid, whatever the accumulators', and the stored terms are cropped
+        to their bands (``fit_grid``).
         """
         lam = float(self.lam)
         lam2 = lam * lam
-        grid = self.grid
+        main, rem = state.w_p_main, state.w_p_rem
+        grid = self._f1_grid(amps, phis, envelopes, main, rem)
         n = grid.n
         f11_acc: dict = {}   # rate -> (2, n, n) vector coefficients
         p11_acc: dict = {}   # rate -> (n, n) scalar coefficients
@@ -402,6 +430,16 @@ class EvenLevelBuilder:
             if rate not in store:
                 store[rate] = np.zeros(shape + (n, n), dtype=complex)
             return store[rate]
+
+        # cross interactions of the main/remainder split come first, while
+        # the P1 accumulators are not yet there: their samples on the
+        # widest grid set the peak; their rates already carry the common
+        # e^{-2 lam^2 t} of the two factors
+        bm, br = _series_band(main), _series_band(rem)
+        for r, dv in chain(_sym_flux(main, rem, self._own_grid(bm + br)),
+                           _sym_flux(rem, None, self._own_grid(2 * br))):
+            add_shifted(acc(f11_acc, r - 2.0 * lam2, (2,)), dv.coef, (0, 0))
+            del dv
 
         npairs = len(self.pairs)
         for a in range(npairs):
@@ -413,9 +451,7 @@ class EvenLevelBuilder:
                 kdot = float(kba @ kbb)
                 ka, kb = kba[:, None, None], kbb[:, None, None]
                 ea, eb = envelopes[a], envelopes[b]
-                ugrid = self._own_grid(
-                    max(g.band for g in ea.terms.values()) +
-                    max(g.band for g in eb.terms.values()))
+                ugrid = self._own_grid(_series_band(ea) + _series_band(eb))
                 # u = sum of g_a g_b over the rate pairs of one sum r
                 for r, c, ub in product_sums(ea.pairs_by_rate(eb), ugrid):
                     u = SpectralField(ugrid, c, band=ub)
@@ -472,8 +508,7 @@ class EvenLevelBuilder:
         for (kf, kbf, kv), amp, phi in zip(self.pairs, amps, phis):
             kb_outer = np.outer(kbf, kbf)
             scaled_amp = (1.0 / math.sqrt(2000.0 * C0)) * amp.amp
-            wide = grid_for(
-                2 * max(f.band for f in scaled_amp.terms.values()))
+            wide = grid_for(2 * _series_band(scaled_amp))
             mol_sq = scaled_amp.product(scaled_amp, wide)
             gap = mol_sq - amp.raw_sq
             pgrid = self._own_grid(2 * phi.band + max(
@@ -495,21 +530,12 @@ class EvenLevelBuilder:
                 del c, sc, dv
             del phi_sq, osc, mol_sq, gap, groups
 
-        # cross interactions of the main/remainder split; their rates
-        # already carry the common e^{-2 lam^2 t} of the two factors
-        main, rem = state.w_p_main, state.w_p_rem
-        for r, dv in chain(_sym_flux(main, rem, grid),
-                           _sym_flux(rem, None, grid)):
-            fc = acc(f11_acc, r - 2.0 * lam2, (2,))
-            fc += dv.coef
-            del dv
-
-        f1 = ExpSeries({r: SpectralField(grid, c)
+        f1 = ExpSeries({r: fit_grid(SpectralField(grid, c))
                         for r, c in f11_acc.items()})
         prev_dt = self.prev.w_p.dt().scale_rates(2.0 * lam2)
         state.F1 = f1.scale_rates(2.0 * lam2) + prev_dt
         # P1 = P11 + P12;  P12 = 2000 C0 lam^2 chi^2 is spatially constant
-        p11 = ExpSeries({r: SpectralField(grid, c)
+        p11 = ExpSeries({r: fit_grid(SpectralField(grid, c))
                          for r, c in p11_acc.items()})
         p12 = ExpSeries({0.0: _const_field(grid, 2000.0 * C0 * lam2)})
         state.P1 = p11.scale_rates(2.0 * lam2) + p12.scale_rates(2.0 * lam2)
@@ -527,6 +553,11 @@ class EvenLevelBuilder:
         state.F2 = heat_resid + ws_lap + cross
 
 
+def _series_band(series: ExpSeries) -> int:
+    """The widest band of a series' terms (0 for no terms)."""
+    return max((f.band for f in series.terms.values()), default=0)
+
+
 def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
     """(q, div(f (x) g + g (x) f)) summed over the terms f e^{-rt} of ``a``
     and g e^{-st} of ``b`` with r + s = q; with ``b`` None, over the
@@ -537,8 +568,7 @@ def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
     resolves them all."""
     other = a if b is None else b
     if grid is None:
-        band = (max(f.band for f in a.terms.values()) +
-                max(g.band for g in other.terms.values()))
+        band = _series_band(a) + _series_band(other)
         n = max(f.grid.n for f in chain(a.terms.values(),
                                         other.terms.values()))
         grid = Grid(max(grid_for(band).n, n))
@@ -600,22 +630,44 @@ def check_lift(state: LevelState) -> float:
     return _max_coef(resid) / _series_scale(state.w_p)
 
 
+def contract_grid(state: LevelState, grid: Grid) -> Grid:
+    """The grid of ``pressure_contract_residual``: the smallest that holds
+    div(w_p o+ w_p) (band 2 band(w_p)), F1, grad P1 and d_t w_s, and no
+    finer than ``grid``."""
+    band = max(2 * _series_band(state.w_p), _series_band(state.F1),
+               _series_band(state.P1), _series_band(state.w_s))
+    return Grid(min(grid_for(band).n, grid.n))
+
+
 def pressure_contract_residual(state: LevelState, grid: Grid) -> dict:
     """Residual of div(w_p o+ w_p) + d_t w_s = F1 + grad P1 at the sample
     times t = 0, 1e-5, 5e-5, 1e-4 and 2e-4.
 
-    Every piece is evaluated by exact spectral arithmetic on the product
-    grid; the residual is normalized by the largest term magnitude.
+    Every piece is evaluated by exact spectral arithmetic on
+    ``contract_grid(state, grid)``; the residual is normalized by the
+    largest term magnitude.
     """
+    grid = contract_grid(state, grid)
     ws_dt = state.w_s.dt()
     out = {}
     for t in (0.0, 1e-5, 5e-5, 1e-4, 2e-4):
-        w = state.w_p.at(t).regrid(grid)
+        # w_p(t) is sampled from its own grid, which grid_for makes no
+        # finer than the contract's
+        w = state.w_p.at(t)
         (_, quad), = flux_divergences({0: [(w, w)]}, grid)
-        lhs = quad + ws_dt.at(t).regrid(grid)
+        del w
+        # lhs - F1 - grad P1: each term is measured and let go as it is
+        # taken, so at most two fields on the grid are held at a time
+        scale = quad.sup_norm()
+        resid = quad + ws_dt.at(t).regrid(grid)
+        del quad
         f1 = state.F1.at(t).regrid(grid)
+        scale = max(scale, f1.sup_norm())
+        resid = resid - f1
+        del f1
         gp = state.P1.at(t).regrid(grid).gradient()
-        resid = lhs - f1 - gp
-        scale = max(quad.sup_norm(), f1.sup_norm(), gp.sup_norm(), 1e-300)
+        scale = max(scale, gp.sup_norm(), 1e-300)
+        resid = resid - gp
+        del gp
         out[t] = resid.sup_norm() / scale
     return out

@@ -38,6 +38,13 @@ shift formed on a finer grid and cut back; ``SpectralField.shift`` and the
 construction's accumulators are calls of it.  ``grid_for`` is the one rule
 for the smallest grid that holds a band.
 
+A grid size n is a multiple of 4, at least 16, with no prime factor other
+than 2, 3 and 5, so the 3/2 grid m = 3n/2 is even and 5-smooth as well;
+numpy's transforms are fast on such sizes.  From band 31 up, the grid
+``grid_for`` picks is at most 1.18 times the least even size 2 band + 2
+that holds the band, where the next power of two can be nearly twice it.
+Every layout rule here asks only that n and m be even.
+
 A field whose samples are real (``real_samples``: every component
 Hermitian, and its Nyquist row and column, which ``_pad`` would embed on
 one side only, no larger than rounding, both to 1e-12 of the component's
@@ -83,15 +90,26 @@ def _grid_cache(n: int):
     return k, k1, k2, ksq
 
 
+def _five_smooth(n: int) -> bool:
+    """n has no prime factor other than 2, 3 and 5."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform n x n grid on the torus, n a power of two >= 16."""
+    """Uniform n x n grid on the torus: n >= 16, a multiple of 4 with no
+    prime factor other than 2, 3 and 5, so that the 3/2 grid m = 3n/2 is
+    even and 5-smooth too."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 16, got {self.n}")
+        if self.n < 16 or self.n % 4 or not _five_smooth(self.n):
+            raise ValueError("grid size must be a 5-smooth multiple of 4, "
+                             f">= 16, got {self.n}")
 
     @property
     def k(self):
@@ -684,11 +702,12 @@ def weighted_sum(fields, weights) -> SpectralField:
 
 
 def grid_for(band: int) -> Grid:
-    """The smallest power-of-two grid, at least 64, that holds ``band``
-    (band <= n/2 - 1)."""
-    n = 64
-    while n // 2 - 1 < band:
-        n *= 2
+    """The smallest grid, at least 64, that holds ``band`` (band <= n/2 - 1):
+    the first 5-smooth multiple of 4 from max(64, 2 band + 2) up."""
+    n = max(64, 2 * band + 2)
+    n += -n % 4
+    while not _five_smooth(n):
+        n += 4
     return Grid(n)
 
 

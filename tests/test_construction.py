@@ -11,7 +11,7 @@ import pytest
 
 from torusns import construction as cons
 from torusns.schedule import ParamSchedule, toy_schedule
-from torusns.spectral import Grid, SpectralField, product_sums
+from torusns.spectral import Grid, SpectralField, grid_for, product_sums
 
 GRID = Grid(1024)
 SCHED = toy_schedule()
@@ -124,7 +124,7 @@ def test_forcing_transform_count(monkeypatch):
             lambda *a, _fn=fn, _name=name, **k: calls.append(_name)
             or _fn(*a, **k))
     builder.assemble_forcing(state)
-    assert len(calls) == 218
+    assert len(calls) == 212
 
 
 def test_dropped_envelope_sums_lie_below_rounding():
@@ -160,9 +160,10 @@ def test_dropped_envelope_sums_lie_below_rounding():
 
 
 def test_wp_shifts_run_on_the_grid_that_holds_them(monkeypatch):
-    # grid 512, profile band 16, lam = (5, 10): the widest envelope moved
-    # by the largest |lam k|_inf fits on grid 256, where every shift of w_p
-    # and its split runs in place of the product grid
+    # grid 512, profile band 16, lam = (5, 10): the widest envelope (band
+    # 80) moved by the largest |lam k|_inf (10) fits on grid 192, the
+    # smallest 5-smooth grid holding band 90, where every shift of w_p and
+    # its split runs in place of the product grid
     grid = Grid(512)
     sched = ParamSchedule((5, 10), (5, 5))
     seed = cons.seed_level(grid, sched)
@@ -172,7 +173,59 @@ def test_wp_shifts_run_on_the_grid_that_holds_them(monkeypatch):
     monkeypatch.setattr(SpectralField, "shift", lambda self, *s: grids.append(
         self.grid.n) or shift(self, *s))
     builder.build(with_forcing=False)
-    assert grids and set(grids) == {256}
+    assert grids and set(grids) == {192}
+
+
+def _pair_builder(grid=Grid(256)):
+    sched = ParamSchedule((5, 10), (5, 5))
+    seed = cons.seed_level(grid, sched)
+    builder = cons.EvenLevelBuilder(grid, sched, 2, seed, profile_band=8)
+    return builder, builder.build(with_forcing=False)
+
+
+def _series_band(series):
+    return max(f.band for f in series.terms.values())
+
+
+def test_forcing_accumulates_on_its_own_grid_and_cuts_nothing(monkeypatch):
+    # grid 256, profile band 8, lam = (5, 10): F1 and P1 accumulated on
+    # the grid of their bound equal, bit for bit, the same accumulation on
+    # the product grid cut to each term's own grid
+    builder, state = _pair_builder()
+    amps, phis, envelopes, _ = builder._ingredients
+    own = builder._f1_grid(amps, phis, envelopes, state.w_p_main,
+                           state.w_p_rem)
+    assert own.n < 256
+    builder.assemble_forcing(state)
+    wide, wide_state = _pair_builder()
+    monkeypatch.setattr(wide, "_f1_grid", lambda *a: wide.grid)
+    wide.assemble_forcing(wide_state)
+    for name in ("F1", "P1"):
+        got, ref = getattr(state, name), getattr(wide_state, name)
+        assert sorted(got.terms) == sorted(ref.terms)
+        for r, f in got.terms.items():
+            assert f.grid == ref.terms[r].grid
+            assert np.array_equal(f.coef, ref.terms[r].coef), (name, r)
+            # each stored term lies on the smallest grid that holds it
+            assert f.grid == grid_for(f.band) and f.grid.n <= own.n
+
+
+def test_pressure_contract_runs_on_the_grid_that_holds_its_terms(
+        monkeypatch):
+    builder, state = _pair_builder()
+    builder.assemble_forcing(state)
+    band = max(2 * _series_band(state.w_p), _series_band(state.F1),
+               _series_band(state.P1), _series_band(state.w_s))
+    grids = []
+    flux = cons.flux_divergences
+    monkeypatch.setattr(cons, "flux_divergences", lambda groups, grid: (
+        grids.append(grid.n) or flux(groups, grid)))
+    resid = cons.pressure_contract_residual(state, builder.grid)
+    assert grids and set(grids) == {grid_for(band).n}
+    assert grid_for(band).n < 256
+    assert max(resid.values()) <= 1e-8
+    # never finer than the grid it is given
+    assert cons.contract_grid(state, Grid(128)) == Grid(128)
 
 
 def test_heat_mode_residual_zero():

@@ -57,6 +57,16 @@ def test_partition_of_unity_reconstruction():
     assert np.abs(total[nonzero] - 1.0).max() <= 1e-12
 
 
+def test_partition_of_unity_on_a_five_smooth_grid():
+    # n = 180: the top block's index comes from the largest |xi|, not
+    # from a power of two
+    grid = Grid(180)
+    lp = LittlewoodPaley(grid)
+    total = sum(lp.weight(j) for j in lp.blocks)
+    assert np.abs(total[grid.ksq > 0] - 1.0).max() <= 1e-12
+    assert lp.weight(lp.j_top - 1)[grid.ksq > 0].any()
+
+
 def test_single_mode_block_weight_is_one():
     # a dyadic mode sits on a block plateau with weight exactly 1
     for k in (1, 2, 4, 8, 16, 32):

@@ -12,9 +12,9 @@ from torusns import spectral
 from torusns.spaces import LittlewoodPaley
 from torusns.spectral import (Grid, MatrixField, SpectralField, VectorField,
                               _pad, _truncate, add_shifted, calderon_lift,
-                              fit_grid, flux_divergences, leray_project,
-                              modulus, padded_physical, padded_spectral,
-                              product_sums, sym_outer)
+                              fit_grid, flux_divergences, grid_for,
+                              leray_project, modulus, padded_physical,
+                              padded_spectral, product_sums, sym_outer)
 
 GRID = Grid(64)
 
@@ -191,9 +191,63 @@ def test_fit_grid_vector_and_matrix(rng):
     for field in (v, m):
         small = fit_grid(field)
         # the widest component (band 40) sets the grid
-        assert small.grid.n == 128
+        assert small.grid.n == grid_for(40).n
         for got, want in zip(small.regrid(big), field):
             assert np.abs(got.coef - want.coef).max() == 0.0
+
+
+def _smallest_grid_oracle(band):
+    n = 64
+    while True:
+        factors = [p for p in range(2, n + 1) if n % p == 0
+                   and all(p % q for q in range(2, p))]
+        if n % 4 == 0 and set(factors) <= {2, 3, 5} and band <= n // 2 - 1:
+            return n
+        n += 1
+
+
+def test_grid_for_is_the_smallest_five_smooth_grid():
+    assert [grid_for(b).n for b in range(601)] == [
+        _smallest_grid_oracle(b) for b in range(601)]
+
+
+@pytest.mark.parametrize("n", [14, 28, 90, 98])
+def test_grid_rejects_sizes_that_are_not_five_smooth_multiples_of_4(n):
+    with pytest.raises(ValueError):
+        Grid(n)
+
+
+@pytest.mark.parametrize("n", [96, 180, 1536])
+def test_grid_accepts_five_smooth_multiples_of_4(n):
+    assert Grid(n).n == n and Grid(n).k.shape == (n,)
+
+
+def test_regrid_through_a_power_of_two_is_exact_on_a_five_smooth_grid(rng):
+    f = random_field(rng, grid=Grid(180), band=60)
+    back = f.regrid(Grid(256)).regrid(Grid(180))
+    assert np.array_equal(back.coef, f.coef)
+
+
+def test_real_samples_on_a_five_smooth_grid_match_the_complex_path(rng):
+    # n = 180, so the 3/2 grid is m = 270
+    f = random_field(rng, grid=Grid(180), band=60)
+    got = padded_physical(f)
+    ref = padded_physical(SpectralField(f.grid, f.coef, real=False))
+    assert f.real_samples and got.dtype == np.float64
+    assert got.shape == (270, 270)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("band", [20, 50])
+def test_product_on_a_five_smooth_grid_is_the_product_on_256_cut(rng, band):
+    # band 20: unpadded on 180; band 50: on the 3/2 grid 270
+    grid = Grid(180)
+    f = random_field(rng, grid=grid, band=band)
+    g = random_field(rng, grid=grid, band=band)
+    got = f.product(g).coef
+    big = Grid(256)
+    ref = _truncate(f.regrid(big).product(g.regrid(big)).coef, 180)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_is_real_detects_hermitian(rng):

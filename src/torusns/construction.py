@@ -42,11 +42,6 @@ def sin_shear(grid: Grid, lam: int) -> VectorField:
     return VectorField.from_modes(grid, {(lam, 0): -a, (-lam, 0): a})
 
 
-def series_sup(series: ExpSeries) -> float:
-    """Sup over t >= 0 bounded by the triangle inequality at t = 0."""
-    return sum(f.sup_norm() for f in series.terms.values())
-
-
 def heat_mode_residual(grid: Grid, lam: int, times=(0.0, 1e-4, 1e-3)) -> float:
     """Max residual of (d_t - Delta)(e^{-lam^2 t} e^{i lam k.x}) over k.
 

@@ -2,9 +2,9 @@
 
 One stepper serves the forced corrector system (Navier-Stokes linearized
 around the explicit flows plus its own quadratic term and an external
-force) and plain Navier-Stokes for verification runs; the linear
-transport-diffusion equation is stepped only as the reference that
-``heat_duhamel`` is tested against.  The heat part is integrated exactly
+force) and plain Navier-Stokes for verification runs; the tests also
+step the linear transport-diffusion equation on it, as the reference
+for ``heat_duhamel``.  The heat part is integrated exactly
 through multiplication by e^{-|xi|^2 dt}; the projected nonlinearity is
 advanced with the classical four-stage Runge-Kutta rule applied in the
 integrating-factor frame, which removes the stiffness of the fast decay
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .spectral import (Grid, SpectralField, VectorField, flux_divergences,
-                       leray_project)
+                       leray_project, weighted_sum)
 from .timefield import ExpSeries
 
 #: a run stops as ``blow-up`` once the sup bound exceeds this multiple
@@ -99,14 +99,6 @@ class Trajectory:
     @property
     def final_time(self) -> float:
         return self.step_times[-1] if self.step_times else 0.0
-
-    def divergence_residual(self) -> float:
-        """Largest relative divergence over the stored velocity states."""
-        worst = 0.0
-        for s in self.states:
-            scale = max(s.sup_norm(), 1e-300)
-            worst = max(worst, np.abs(s.divergence().coef).max() / scale)
-        return worst
 
 
 def _sup_bound(state) -> float:
@@ -199,35 +191,6 @@ def solve_forced_ns(grid: Grid, config: SolverConfig,
     return traj
 
 
-def solve_transport_diffusion(grid: Grid, config: SolverConfig,
-                              velocity, source,
-                              u0: SpectralField,
-                              div_tol: float = 1e-10) -> Trajectory:
-    """Advance u' = Delta u - v.grad u + g for a scalar u.
-
-    ``velocity`` is a callable t -> solenoidal VectorField (checked at
-    t=0), ``source`` a callable t -> SpectralField or None.
-    """
-    v0 = velocity(0.0) if velocity is not None else None
-    if v0 is not None:
-        scale = max(v0.sup_norm(), 1e-300)
-        if np.abs(v0.divergence().coef).max() > div_tol * scale:
-            raise ValueError("transport velocity is not divergence-free")
-
-    def rhs(t, u):
-        out = None
-        if velocity is not None:
-            v = velocity(t)
-            g = u.gradient()
-            out = -1.0 * (v.u1.product(g.u1) + v.u2.product(g.u2))
-        if source is not None:
-            s = source(t)
-            out = s if out is None else out + s
-        return out if out is not None else 0.0 * u
-
-    return _run(grid, config, u0, rhs, "transport-diffusion")
-
-
 def heat_duhamel(forcing: ExpSeries, t: float, grid: Grid) -> VectorField:
     """Exact value at time t of w' = Delta w - P F, w(0) = 0.
 
@@ -235,22 +198,29 @@ def heat_duhamel(forcing: ExpSeries, t: float, grid: Grid) -> VectorField:
     -int_0^t e^{(t-s) Delta} P F(s) ds is, mode by mode,
     -P F_r (e^{-r t} - e^{-|xi|^2 t}) / (|xi|^2 - r), and t e^{-r t} on
     resonant modes |xi|^2 = r.  Near resonance the difference is taken
-    through expm1, so no time stepping and no cancellation enter.
+    through expm1, so no time stepping and no cancellation enter.  The
+    factors are real radial multipliers, which commute with P, so the
+    terms are summed in one array (``weighted_sum``) and projected once.
     """
-    out = VectorField.zero(grid)
-    for r, f in forcing.terms.items():
-        g = f.grid
+    if not forcing.terms:
+        return VectorField.zero(grid)
+
+    def factor(g, r):
+        # the negated factor, so that the sum needs no sign pass
         d = g.ksq - r
         near = np.abs(d) * t < 0.1
-        factor = (math.exp(-r * t) - np.exp(-g.ksq * t)) / np.where(
-            near, 1.0, d)
+        out = (np.exp(-g.ksq * t) - math.exp(-r * t)) / np.where(near, 1.0, d)
         dn = d[near]
         small = np.full(dn.shape, t)
         nz = dn != 0.0
         small[nz] = -np.expm1(-dn[nz] * t) / dn[nz]
-        factor[near] = math.exp(-r * t) * small
-        out = out - leray_project(f).apply_symbol(factor).regrid(grid)
-    return out
+        out[near] = -math.exp(-r * t) * small
+        return out
+
+    terms = forcing.terms
+    total = weighted_sum(terms.values(),
+                         (factor(f.grid, r) for r, f in terms.items()))
+    return leray_project(total.regrid(grid))
 
 
 # ---------------------------------------------------------------------------

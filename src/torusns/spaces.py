@@ -11,6 +11,14 @@ block is supported in 2^{j-1} <= |xi| <= 2^{j+1}, and the weight is
 identically 1 on the plateau 2^{j-1/4} <= |xi| <= 2^{j+1/4} — in particular
 a single mode with |xi| = 2^j lands in block j with weight exactly 1.
 The mean mode is excluded from every block.
+
+Only sups are taken (p = inf, and r = inf in time).  Block j's sup has the
+bound B_j = sum_xi w_j(xi) |c(xi)|_2 (the triangle inequality over the
+modes), for all blocks from one ``bincount`` of |c|_2 over the radial
+index.  A norm that keeps the largest of some values skips a value whose
+bound has (1 + 1e-12) B < the largest kept so far: it is at most B, up to
+rounding well inside the margin, so it could not be the largest, and the
+norm is bit-identical to sampling every block.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import integer_frequency
-from .spectral import Grid, SpectralField, modulus
+from .spectral import Grid, SpectralField, mode_modulus, modulus
 
 __all__ = [
     "smooth_step",
@@ -61,85 +69,112 @@ class LittlewoodPaley:
         return range(0, self.j_top + 1)
 
     def weight(self, j: int) -> np.ndarray:
-        """The n x n Fourier weight of block j."""
+        """The n x n Fourier weight of block j, gathered on its support
+        square |xi1|, |xi2| <= min(2^{j+1}, n/2) only: it is 0 outside."""
         if not 0 <= j <= self.j_top:
             raise ValueError(f"block index {j} out of range")
-        return self._tables[j][self._index]
+        n, s = self.grid.n, min(2 ** (j + 1), self.grid.n // 2)
+        rows = np.r_[0:s + 1, max(n - s, s + 1):n]    # |xi_i| <= s
+        square = np.ix_(rows, rows)
+        w = np.zeros((n, n))
+        w[square] = self._tables[j][self._index[square]]
+        return w
+
+    def bounds(self, f):
+        """(B, live): every block's bound B_j >= sup |Delta_j f| and whether
+        its weight meets a nonzero coefficient of f."""
+        radial = np.bincount(self._index.ravel(),
+                             weights=mode_modulus(f).ravel(),
+                             minlength=self._tables.shape[1])
+        live = (self._tables[:, radial > 0] > 0).any(axis=1)
+        return self._tables @ radial, live
+
+    def sup(self, f, j: int) -> float:
+        """sup |Delta_j f| sampled on the 3/2 grid."""
+        return float(modulus(f, self.weight(j)).max())
+
+    def sups(self, f, floor=0.0) -> np.ndarray:
+        """Every block's ``sup``, sampled where the weight meets a nonzero
+        coefficient of f and the skip rule keeps it against floor[j]; 0
+        elsewhere."""
+        bound, live = self.bounds(f)
+        take = live & ((1 + 1e-12) * bound >= floor)
+        return np.array([self.sup(f, j) if t else 0.0
+                         for j, t in enumerate(take)])
 
 
 @lru_cache(maxsize=8)
 def _block_weights(n: int, j_top: int):
     """Each point's index into the distinct |xi|^2 of the grid, and one
-    table of weights over them per block (the weights are radial), so the
+    row of weights over them per block (the weights are radial), so the
     cache holds one n x n array per grid, not one per block."""
     ksq, index = np.unique(Grid(n).ksq, return_inverse=True)
     u = np.full_like(ksq, -40.0)
     nz = ksq > 0
     u[nz] = 0.5 * np.log2(ksq[nz])
-    tables = []
+    tables = np.empty((j_top + 1, ksq.size))
     for j in range(j_top + 1):
+        tables[j] = smooth_step(u - j + 1)
         if j < j_top:
-            w = smooth_step(u - j + 1) - smooth_step(u - j)
-        else:
-            w = smooth_step(u - j + 1)
-        w[0] = 0.0    # the mean mode: |xi|^2 = 0 sorts first
-        tables.append(w)
-    return index.reshape(n, n).astype(np.int32), tuple(tables)
+            tables[j] -= smooth_step(u - j)
+        tables[j, 0] = 0.0    # the mean mode: |xi|^2 = 0 sorts first
+    return index.reshape(n, n).astype(np.int32), tables
 
 
-def _lp_of_samples(samples: np.ndarray, p: float) -> float:
-    if p == np.inf:
-        return float(samples.max())
-    h2 = (2.0 * np.pi / samples.shape[0]) ** 2
-    return float((np.sum(samples ** p) * h2) ** (1.0 / p))
+def _sups_only(*exponents) -> None:
+    if any(e != np.inf for e in exponents):
+        raise ValueError(f"only sups (inf exponents) are taken: {exponents}")
 
 
 def block_lp_norms(f, p: float) -> np.ndarray:
-    """||Delta_j f||_{L^p} for every block j; 0 for a block whose weight
-    misses every nonzero coefficient of f, which is not sampled."""
-    lp = LittlewoodPaley(f.grid)
-    live = f.coef.reshape((-1,) + f.coef.shape[-2:]).any(axis=0)
-    weights = (lp.weight(j) for j in lp.blocks)
-    return np.array([_lp_of_samples(modulus(f, w), p) if w[live].any()
-                     else 0.0 for w in weights])
+    """||Delta_j f||_{L^p} for every block j (p = inf); 0 for a block
+    whose weight misses every nonzero coefficient of f, which is not
+    sampled."""
+    _sups_only(p)
+    return LittlewoodPaley(f.grid).sups(f)
 
 
 def besov_norm(f, s: float, p: float, q: float) -> float:
-    """Inhomogeneous Besov norm B^s_{p,q} (mean mode excluded)."""
-    vals = block_lp_norms(f, p)
+    """Inhomogeneous Besov norm B^s_{p,q} (p = inf; mean mode excluded).
+    For q = inf the blocks are sampled in descending 2^{js} B_j up to the
+    first that the skip rule drops."""
+    _sups_only(p)
     lp = LittlewoodPaley(f.grid)
-    weighted = np.array([(2.0 ** (j * s)) * v for j, v in zip(lp.blocks, vals)])
-    if q == np.inf:
-        return float(weighted.max()) if weighted.size else 0.0
-    return float(np.sum(weighted ** q) ** (1.0 / q))
+    scale = [2.0 ** (j * s) for j in lp.blocks]
+    if q != np.inf:
+        weighted = np.array(scale) * block_lp_norms(f, p)
+        return float(np.sum(weighted ** q) ** (1.0 / q))
+    bound, live = lp.bounds(f)
+    best = 0.0
+    for j in sorted(np.flatnonzero(live), key=lambda j: -scale[j] * bound[j]):
+        if (1 + 1e-12) * scale[j] * bound[j] < best:
+            break
+        best = max(best, scale[j] * lp.sup(f, j))
+    return best
 
 
 def chemin_lerner_norm(times, fields, s: float, p: float, q: float,
                        r: float) -> float:
-    """Time-mixed Besov norm: the time L^r norm is taken inside the block
-    sum.  `times` are >= 8 strictly increasing samples spanning the
-    interval, at any spacing (the corrector window's samples,
-    `corrector_window_times`, are geometric); r = inf takes the largest
-    sample of each block, and only a finite r uses the trapezoid rule over
-    them.  `fields` may be any iterable (a generator keeps one field in
-    memory at a time), one field per time sample, all on one grid.
+    """Time-mixed Besov norm: the time L^r norm (r = p = inf) is taken
+    inside the block sum, as block j's largest sample; the skip rule drops
+    block j of a sample against block j's largest so far.  `times` are
+    >= 8 strictly increasing samples spanning the interval, at any spacing
+    (the corrector window's samples, `corrector_window_times`, are
+    geometric).  `fields` may be any iterable (a generator keeps one field
+    in memory at a time), one field per time sample, all on one grid.
     """
+    _sups_only(p, r)
     times = np.asarray(times, dtype=np.float64)
     if times.size < 8:
         raise ValueError("chemin_lerner_norm needs at least 8 time samples")
     if np.any(np.diff(times) <= 0):
         raise ValueError("time samples must be strictly increasing")
-    per_time = np.array([block_lp_norms(f, p) for f in fields])
-    if per_time.shape[0] != times.size:
+    count, peak = 0, 0.0
+    for count, f in enumerate(fields, 1):
+        peak = np.maximum(peak, LittlewoodPaley(f.grid).sups(f, peak))
+    if count != times.size:
         raise ValueError("need one field per time sample")
-    per_block = []
-    for j, row in enumerate(per_time.T):
-        if r == np.inf:
-            tnorm = row.max()
-        else:
-            tnorm = np.trapezoid(row ** r, times) ** (1.0 / r)
-        per_block.append((2.0 ** (j * s)) * tnorm)
-    per_block = np.array(per_block)
+    per_block = np.array([(2.0 ** (j * s)) * v for j, v in enumerate(peak)])
     if q == np.inf:
         return float(per_block.max())
     return float(np.sum(per_block ** q) ** (1.0 / q))

@@ -19,8 +19,9 @@ quantities are computed alias-free: either by 3/2 zero padding, or — when a
 conservative band bound shows the product already fits below the Nyquist
 frequency — by an unpadded transform (identical result, cheaper).  The
 3/2-padded transform pair (``padded_physical``/``padded_spectral``) and the
-pointwise modulus built on it (``modulus``) live here only; products, sup
-norms and block norms all go through them.
+pointwise modulus built on it (``modulus``, formed in place in the samples'
+own planes) live here only; products, sup norms and block norms all go
+through them.
 
 Every product is a sum of products: ``product_sums`` takes pairs of fields
 grouped by key, samples each distinct field once from its own grid, adds
@@ -72,6 +73,7 @@ __all__ = [
     "leray_project",
     "calderon_lift",
     "modulus",
+    "mode_modulus",
     "padded_physical",
     "padded_spectral",
     "product_sums",
@@ -668,19 +670,27 @@ def padded_spectral(phys: np.ndarray, n: int) -> np.ndarray:
 
 def modulus(f: SpectralField, symbol=None) -> np.ndarray:
     """Pointwise Euclidean modulus of a field's components on the 3/2 grid,
-    or of its Fourier multiple by ``symbol`` (see ``_physical``)."""
+    or of its Fourier multiple by ``symbol`` (see ``_physical``): squared,
+    summed and rooted in place, in the samples' own planes (complex
+    samples in one float stack of their moduli)."""
     p = _physical(f, (3 * f.grid.n) // 2, symbol)
     if p.ndim == 2:
         return np.abs(p)
-    tot = None
-    for q in p.reshape((-1,) + p.shape[-2:]):
-        if np.iscomplexobj(q):
-            sq = np.abs(q)
-            sq *= sq
-        else:  # float samples square directly: |q| |q| = q q bit for bit
-            sq = q * q
-        tot = sq if tot is None else np.add(tot, sq, out=tot)
-    return np.sqrt(tot, out=tot)
+    q = p.reshape((-1,) + p.shape[-2:])
+    if np.iscomplexobj(q):
+        q = np.abs(q)
+    np.multiply(q, q, out=q)  # float samples: |q| |q| = q q bit for bit
+    for plane in q[1:]:
+        q[0] += plane
+    return np.sqrt(q[0], out=q[0])
+
+
+def mode_modulus(f: SpectralField) -> np.ndarray:
+    """|c(xi)|_2, each mode's coefficients' Euclidean norm over the
+    components, by abs and hypot, which cannot underflow; its sum bounds
+    the sup of the pointwise modulus."""
+    c = np.abs(f.coef)
+    return np.hypot.reduce(c.reshape((-1,) + c.shape[-2:]), axis=0)
 
 
 def weighted_sum(fields, weights) -> SpectralField:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from torusns import spectral
 from torusns.spaces import (LittlewoodPaley, besov_norm, block_lp_norms,
                             chemin_lerner_norm, cn_norm,
                             oscillatory_bound_check, smooth_step)
@@ -146,3 +147,109 @@ def test_oscillatory_bound_constant_cos_random():
         for name, f in envelopes.items():
             lhs, rhs, ratio = oscillatory_bound_check(f, (1, 0), lam)
             assert ratio <= 8.0, (name, lam, ratio)
+
+
+def _random_field(rng, grid, shape, real, band):
+    """Random coefficients on |xi|_inf <= band with a random decay; real
+    samples when ``real``."""
+    k = np.abs(grid.k)
+    c = np.zeros(shape + (grid.n, grid.n), dtype=complex)
+    box = (k[:, None] <= band) & (k[None, :] <= band)
+    c[..., box] = (rng.standard_normal(c[..., box].shape)
+                   + 1j * rng.standard_normal(c[..., box].shape))
+    c *= np.exp(-rng.uniform(0.0, 0.05) * grid.ksq)
+    if real:
+        c = np.fft.fft2(np.fft.ifft2(c).real)
+    return SpectralField(grid, c)
+
+
+def _skip_cases():
+    """(grid, fields) cases on grids 64, 96 and 128: random real and complex
+    scalars and vectors decaying in time, and a single mode, each with
+    zero samples."""
+    rng = np.random.default_rng(41)
+    for n in (64, 96, 128):
+        grid = Grid(n)
+        for shape, real in (((), True), ((2,), True), ((2,), False),
+                            ((), False)):
+            f = _random_field(rng, grid, shape, real, n // 2 - 2)
+            fs = [SpectralField(grid, f.coef * np.exp(-grid.ksq * 0.02 * i)
+                                * (1.0 + 0.3 * np.sin(i)))
+                  for i in range(9)]
+            fs[0] = 0.0 * f    # a zero sample
+            yield grid, fs
+        mode = SpectralField.from_modes(grid, {(5, 3): 1.0, (-5, -3): 1.0})
+        # the bound of a single mode is tight, so a larger later sample
+        # must be taken
+        yield grid, [SpectralField.zero(grid)] * 3 + [
+            a * mode for a in (0.5, 1.0, 0.25, 1.2, 0.9, 1.2 + 1e-9)]
+        # B^0_{inf,inf} samples block 3 (cos 8x1 + sin 8x1, bound 2, sup
+        # about 1.37) first; block 2's tight single mode is larger by 1e-9
+        loose = SpectralField.from_modes(grid, {(8, 0): 0.5 - 0.5j,
+                                                (-8, 0): 0.5 + 0.5j})
+        a = 0.5 * (1.0 + 1e-9) * block_lp_norms(loose, np.inf)[3]
+        yield grid, [SpectralField.zero(grid)] * 8 + [
+            loose + SpectralField.from_modes(grid, {(4, 0): a, (-4, 0): a})]
+
+
+def test_skipping_is_exact():
+    # the skip rule drops only values below one kept, so every norm equals
+    # the one assembled from every block's sampled sup, bit for bit
+    for grid, fs in _skip_cases():
+        js = np.arange(len(LittlewoodPaley(grid).blocks))
+        rows = np.array([block_lp_norms(f, np.inf) for f in fs])
+        times = np.arange(len(fs), dtype=float)
+        for s in (-0.5, 0.0, 0.5, -1.0):
+            per_block = np.array([(2.0 ** (j * s)) * v
+                                  for j, v in zip(js, rows.max(axis=0))])
+            assert chemin_lerner_norm(times, iter(fs), s, np.inf, 1.0,
+                                      np.inf) == float(np.sum(per_block))
+            assert chemin_lerner_norm(times, fs, s, np.inf, np.inf,
+                                      np.inf) == float(per_block.max())
+            for f, row in zip(fs, rows):
+                weighted = np.array([(2.0 ** (j * s)) * v
+                                     for j, v in zip(js, row)])
+                assert besov_norm(f, s, np.inf, np.inf) == float(weighted.max())
+                assert besov_norm(f, s, np.inf, 1.0) == float(np.sum(weighted))
+
+
+def test_block_bound_holds():
+    # each block's sampled sup is at most its bound B_j, up to the skip
+    # rule's margin, and a block that meets no coefficient reads 0
+    for grid, fs in _skip_cases():
+        lp = LittlewoodPaley(grid)
+        for f in fs:
+            bound, live = lp.bounds(f)
+            vals = block_lp_norms(f, np.inf)
+            assert np.all(vals <= (1.0 + 1e-12) * bound)
+            assert np.all(vals[~live] == 0.0) and np.all(bound[~live] == 0.0)
+
+
+def test_decaying_samples_skip_blocks(monkeypatch):
+    # a decaying sequence sets each block's max at its first sample, so
+    # the later ones are skipped
+    grid = Grid(96)
+    rng = np.random.default_rng(3)
+    f = _random_field(rng, grid, (2,), True, 40)
+    fs = [SpectralField(grid, f.coef * np.exp(-grid.ksq * 0.01 * i))
+          for i in range(8)]
+    live = LittlewoodPaley(grid).bounds(f)[1].sum()
+    calls = []
+    sample = spectral._physical
+    monkeypatch.setattr(spectral, "_physical",
+                        lambda *a, **k: calls.append(1) or sample(*a, **k))
+    chemin_lerner_norm(np.arange(8.0), fs, -0.5, np.inf, 1.0, np.inf)
+    assert live <= len(calls) < len(fs) * live
+
+
+def test_only_sup_exponents_are_taken():
+    f = SpectralField.from_modes(GRID, {(4, 0): 1.0, (-4, 0): 1.0})
+    times = np.linspace(0.0, 1.0, 9)
+    for call in (lambda: block_lp_norms(f, 2.0),
+                 lambda: besov_norm(f, -1.0, 2.0, np.inf),
+                 lambda: chemin_lerner_norm(times, [f] * 9, -0.5, 2.0, 1.0,
+                                            np.inf),
+                 lambda: chemin_lerner_norm(times, [f] * 9, -0.5, np.inf,
+                                            1.0, 2.0)):
+        with pytest.raises(ValueError):
+            call()

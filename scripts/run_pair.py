@@ -3,8 +3,9 @@
 write the run ledger.
 
 Exits 1 when any ledger entry fails. With two or more levels the
-``corrector/window`` entry does: the stepped corrector covers only the
-first steps of its window, and the entry gives the covered fraction.
+``corrector/window`` entry does: the corrector's nonlinear remainder is
+not solved (``"solved": "none"``, covered 0), and the branches carry its
+linear part, the exact heat-Duhamel integral of the forcing, alone.
 
 Example:
     python scripts/run_pair.py --grid 1024 --band 8 --out out/pair
@@ -25,15 +26,11 @@ def main():
     ap.add_argument("--band", type=int, default=8,
                     help="concentration profile band budget")
     ap.add_argument("--levels", type=int, default=2)
-    ap.add_argument("--steps", type=int, default=8,
-                    help="corrector solve step budget")
     ap.add_argument("--out", default="out/pair")
     args = ap.parse_args()
 
     cfg = driver.RunConfig(levels=args.levels, grid_n=args.grid,
-                           profile_band=args.band,
-                           corrector_max_steps=args.steps,
-                           out_dir=args.out)
+                           profile_band=args.band, out_dir=args.out)
     t0 = time.perf_counter()
     branch = driver.build_solution_pair(cfg)
     report = driver.separation_report(branch)
@@ -49,6 +46,8 @@ def main():
     print(f"separation: gap/M0 = {report['ratio']:.4f} "
           f"(M0 = {report['M0']:.6e}, t* = {report['t_star']:.3e}, "
           f"assertable = {report['assertable']})")
+    print("parts at t* over M0: " + ", ".join(
+        f"{k} {v:.4g}" for k, v in report["parts"].items()))
     print(f"ledger written to {path}; total {elapsed:.1f}s")
     return 0 if all(e["status"] != "fail" for e in branch.ledger) else 1
 

@@ -110,19 +110,6 @@ def cmd_check_identities(args) -> int:
         if e["name"].startswith("identity/") and e["ref"] == ref])
 
 
-def cmd_solve_fns(args) -> int:
-    config = _base_config(args)
-    branch = _build_through(config, args.m)
-    traj = branch.levels[args.m].w_ns
-    if traj is None:
-        print(f"level {args.m} has no forced corrector", file=sys.stderr)
-        return 1
-    print(f"corrector: status={traj.status}, steps={len(traj.step_times)}, "
-          f"reached t={traj.final_time:.3e}, "
-          f"sup bound={max(traj.sup_bounds):.3e}")
-    return _finish(branch, config)
-
-
 def cmd_build_pair(args) -> int:
     config = _base_config(args)
     if args.levels:
@@ -189,9 +176,6 @@ def main(argv=None) -> int:
                        help="algebraic identities of a built level")
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_check_identities)
-    p = sub.add_parser("solve-fns", help="forced corrector solve of a level")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_solve_fns)
     p = sub.add_parser("build-pair", help="build both solution branches")
     p.add_argument("--levels", type=int)
     p.set_defaults(func=cmd_build_pair)

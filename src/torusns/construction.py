@@ -26,6 +26,7 @@ from .geometry import (ID_WEIGHTS, LAMBDA, integer_frequency,
                        pair_weight_functionals, perp)
 from .profile import ConcentrationProfile
 from .schedule import ParamSchedule
+from .solver import heat_duhamel
 from .spectral import (Grid, MatrixField, SpectralField, VectorField,
                        add_shifted, fit_grid, flux_divergences, grid_for,
                        product_sums)
@@ -173,30 +174,30 @@ class LevelState:
     F2: ExpSeries | None = None
     w_p_main: ExpSeries | None = None
     w_p_rem: ExpSeries | None = None
-    w_ns: object | None = None
     diagnostics: dict = dc_field(default_factory=dict)
 
-    def total_w(self, t: float, grid: Grid) -> VectorField:
-        """w_m(t) = (w_p + w_s + w_ns)(t) on the requested grid.
-
-        Inside the computed corrector window the corrector is read from
-        its stored steps, linear in time between two of them.  Past the end
-        of the window it is extended by the heat flow alone: its forcing
-        decays like e^{-2 lam^2 t} and the advecting field like
-        e^{-lam_prev^2 t}, so for t far beyond both time scales free decay
-        is the dominant behaviour.  The driver ledger records the window.
-        """
-        out = self.w_p.at(t).regrid(grid)
+    def parts(self, t: float, grid: Grid) -> dict:
+        """The computed parts of w_m(t) on ``grid``, by name: ``w_p``,
+        ``w_s`` (when the level has one) and ``w_L`` (when it has a
+        forcing), the corrector's linear part, the exact heat-Duhamel
+        integral of F1 + F2 from zero data (``solver.heat_duhamel``)."""
+        out = {"w_p": self.w_p.at(t).regrid(grid)}
         if self.w_s is not None:
-            out = out + self.w_s.at(t).regrid(grid)
-        if self.w_ns is not None and self.w_ns.times:
-            t_last = self.w_ns.times[-1]
-            if t <= t_last:
-                state = self.w_ns.interpolate(t)
-            else:
-                state = self.w_ns.states[-1].heat(t - t_last)
-            out = out + state.regrid(grid)
+            out["w_s"] = self.w_s.at(t).regrid(grid)
+        if self.F1 is not None:
+            out["w_L"] = heat_duhamel(self.F1 + self.F2, t, grid)
         return out
+
+    def total_w(self, t: float, grid: Grid) -> VectorField:
+        """w_m(t) = (w_p + w_s + w_L)(t) on the requested grid.
+
+        Every part is evaluated exactly at t; nothing is extrapolated.
+        The corrector enters through its linear part w_L alone: its
+        nonlinear remainder is not solved (the driver's
+        ``corrector/window`` entry says so).
+        """
+        w_p, *rest = self.parts(t, grid).values()
+        return sum(rest, w_p)
 
 
 def seed_level(grid: Grid, schedule: ParamSchedule) -> LevelState:

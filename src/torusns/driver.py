@@ -2,8 +2,10 @@
 
 Levels are built bottom-up: odd levels carry the decaying shear seed,
 even levels superpose the high-frequency perturbation, its
-low-frequency cancellation flow, and a forced corrector solved
-numerically with zero initial datum.  The odd partial sums form one
+low-frequency cancellation flow, and the linear part of the forced
+corrector, the exact heat-Duhamel integral of the forcing from zero
+data; the corrector's nonlinear remainder is not solved, and the ledger
+says so.  The odd partial sums form one
 solution branch and the even partial sums another; both start from the
 same initial velocity up to the single unmatched tail term, yet their
 values at the observation time t* = lam_1^{-2} differ by a fixed
@@ -41,16 +43,14 @@ class RunConfig:
     ``levels`` entries, with ``mu = n_lambda`` at every level as in
     ``schedule.toy_schedule``; the default is the toy schedule, as the
     paper's double-exponential one is out of numerical reach.
-    ``schedule()`` checks it.  The corrector's dt and window are not
-    settings: dt is the smaller of 0.25 lam_m^{-2} and the CFL step of
-    the coupling at t = 0, and the window ends at 3 lam_1^{-2}.
+    ``schedule()`` checks it.  The corrector's window is not a setting:
+    it ends at 3 lam_1^{-2}.
     """
 
     lams: tuple[int, ...] = toy_schedule().lams
     levels: int = 2
     grid_n: int = 1024
     profile_band: int = 8
-    corrector_max_steps: int = 8
     out_dir: str = "out"
     seed: int = 0
 
@@ -89,14 +89,6 @@ class BranchState:
                 out = out + state.total_w(t, grid)
         return out
 
-    def velocity(self, m: int, t: float, grid: Grid) -> VectorField:
-        """u_m(t) = sum of w_j over levels j <= m with the parity of m."""
-        out = VectorField.zero(grid)
-        for j in range(m, 0, -2):
-            if j in self.levels:
-                out = out + self.levels[j].total_w(t, grid)
-        return out
-
 
 def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
@@ -122,7 +114,8 @@ def new_branch(config: RunConfig) -> BranchState:
 
 
 def run_level(branch: BranchState, m: int) -> "cons.LevelState":
-    """Build level m, verify its identities, solve the corrector."""
+    """Build level m, verify its identities and measure the corrector's
+    linear part over its window; its nonlinear remainder is not solved."""
     config = branch.config
     grid = branch.grid
     sched = branch.schedule
@@ -162,50 +155,23 @@ def run_level(branch: BranchState, m: int) -> "cons.LevelState":
                   fractions["fattened"], fractions["bound"],
                   "pass" if fractions["within_bound"] else "fail")
 
-    _solve_corrector(branch, state, m)
+    _corrector_reports(branch, state, m)
     branch.levels[m] = state
     _level_norm_reports(branch, state)
     return state
 
 
-def _solve_corrector(branch: BranchState, state, m: int) -> None:
-    """Zero-datum forced run for the corrector of level m."""
-    config = branch.config
-    sched = branch.schedule
+def _corrector_reports(branch: BranchState, state, m: int) -> None:
+    """Ledger entries for the corrector of level m over its window."""
     grid = branch.grid
-    lam1 = sched.lam(1)
-    t_end = 3.0 / lam1 ** 2
-
-    forcing_series = state.F1 + state.F2
-    coupling = state.w_p + state.w_s
-
-    def forcing(t):
-        return forcing_series.at(t).regrid(grid)
-
-    def coupling_eval(t):
-        u = coupling.at(t).regrid(grid)
-        prev2 = branch.levels.get(m - 2)
-        if prev2 is not None:
-            u = u + branch.velocity(m - 2, t, grid)
-        return u
-
-    sup0 = coupling_eval(0.0).sup_norm() + 1.0
-    h = 2.0 * math.pi / grid.n
-    dt = min(0.25 / sched.lam(m) ** 2, slv.CFL_SAFETY * h / sup0)
-    cfg = slv.SolverConfig(dt=dt, t_end=t_end,
-                           max_steps=config.corrector_max_steps,
-                           store_every=1, check_cfl=False)
-    traj = slv.solve_forced_ns(grid, cfg, forcing=forcing,
-                               coupling=coupling_eval,
-                               tag=f"corrector-level-{m}")
-    state.w_ns = traj
-    reached = traj.final_time
-    covered = reached / t_end
-    # a completed run ends at n_steps * dt, which may round below t_end
+    sched = branch.schedule
+    t_end = 3.0 / sched.lam(1) ** 2
+    # no step of the nonlinear corrector is taken: at desk scale it is a
+    # strongly nonlinear flow that no affordable grid resolves, so the
+    # window stays uncovered and the entry fails
     branch.record("corrector/window", f"level-{m}",
-                  {"dt": dt, "reached_t": reached, "t_end": t_end,
-                   "covered": covered, "status": traj.status},
-                  None, "pass" if covered >= 1.0 - 1e-12 else "fail")
+                  {"solved": "none", "reached_t": 0.0, "t_end": t_end,
+                   "covered": 0.0}, None, "fail")
     times, norm = leading_corrector_norm(state, grid, t_end)
     state.diagnostics["corrector_norm"] = norm
     state.diagnostics["corrector_times"] = times
@@ -231,7 +197,7 @@ def corrector_window_times(lam: float, t_end: float) -> list:
 def leading_corrector_norm(state, grid: Grid, t_end: float):
     """Whole-window norm of the corrector's leading (linear) part.
 
-    The heat-dominated leading term of w_ns is the Duhamel integral
+    The heat-dominated leading term of the corrector is the Duhamel integral
     -int_0^t e^{(t-s) Delta} P (F1 + F2)(s) ds, evaluated exactly at the
     samples of :func:`corrector_window_times`.  Returns the samples and
     the L~^inf_t B^{-1/2}_{inf,1} norm over [0, t_end].
@@ -282,7 +248,7 @@ def _level_norm_reports(branch: BranchState, state) -> None:
         ratio = report["measured"] / target if target else None
         branch.record(name, f"level-{m}", {**report, "ratio": ratio},
                       target, "report-only")
-    if state.w_ns is not None:
+    if "corrector_norm" in state.diagnostics:
         target = float(branch.schedule.lam(m - 1)) ** -10
         norm = state.diagnostics["corrector_norm"]
         branch.record("inductive/corrector-norm", f"level-{m}",
@@ -315,7 +281,14 @@ def build_solution_pair(config: RunConfig) -> BranchState:
 
 
 def separation_report(branch: BranchState) -> dict:
-    """Branch distance at t* = lam_1^{-2} against the seed's Besov size."""
+    """Branch distance at t* = lam_1^{-2} against the seed's Besov size.
+
+    The gap odd - even is summed from the levels' computed parts
+    (``LevelState.parts``), so the corrector enters through its linear
+    part w_L alone (``"part": "linear-duhamel"``).  ``parts`` holds each
+    part's B^{-1}_{inf,inf} norm at t* over M0: ``seed`` for level 1, and
+    ``w_p(m)``, ``w_s(m)``, ``w_L(m)`` for level m.
+    """
     sched = branch.schedule
     lam1 = float(sched.lam(1))
     lam2 = float(sched.lam(2)) if sched.levels >= 2 else lam1
@@ -324,8 +297,14 @@ def separation_report(branch: BranchState) -> dict:
     seed = branch.levels[1]
     m0 = math.exp(-1.0) * besov_norm(
         seed.w_p.at(0.0), -1.0, np.inf, np.inf)
-    gap = branch.partial_sum("odd", t_star, grid) - branch.partial_sum(
-        "even", t_star, grid)
+    gap = VectorField.zero(grid)
+    sizes = {}
+    for m, state in branch.levels.items():
+        sign = 1.0 if m % 2 else -1.0
+        for name, part in state.parts(t_star, grid).items():
+            gap = gap + sign * part
+            key = "seed" if m == 1 else f"{name}({m})"
+            sizes[key] = besov_norm(part, -1.0, np.inf, np.inf) / m0
     gap_norm = besov_norm(gap, -1.0, np.inf, np.inf)
     decay = math.exp(-lam2 ** 2 * t_star)
     assertable = decay < 1e-6
@@ -333,7 +312,7 @@ def separation_report(branch: BranchState) -> dict:
     report = {
         "M0": m0, "gap_norm": gap_norm, "ratio": ratio,
         "t_star": t_star, "fast_branch_decay": decay,
-        "assertable": assertable,
+        "assertable": assertable, "part": "linear-duhamel", "parts": sizes,
         "status": "pass" if (not assertable or ratio >= 0.5) else "fail",
     }
     branch.record("separation/gap-ratio", "branches", report, 0.5,

@@ -1,10 +1,12 @@
 """Pseudo-spectral time integration on the torus.
 
-One stepper serves the forced corrector system (Navier-Stokes linearized
-around the explicit flows plus its own quadratic term and an external
-force) and plain Navier-Stokes for verification runs; the tests also
+One stepper serves forced Navier-Stokes, optionally linearized around a
+given coupling flow plus its own quadratic term, and plain Navier-Stokes;
+it is verified on exact and manufactured solutions, and the tests also
 step the linear transport-diffusion equation on it, as the reference
-for ``heat_duhamel``.  The heat part is integrated exactly
+for ``heat_duhamel``.  The pair run steps nothing: the corrector's
+linear part is ``heat_duhamel``, exact in time, and its nonlinear
+remainder is not solved.  The heat part is integrated exactly
 through multiplication by e^{-|xi|^2 dt}; the projected nonlinearity is
 advanced with the classical four-stage Runge-Kutta rule applied in the
 integrating-factor frame, which removes the stiffness of the fast decay
@@ -57,9 +59,9 @@ class Trajectory:
     ``times``/``states`` hold the stored subset (every ``store_every``-th
     step).  At every accepted step, at ``step_times``, ``sup_bounds``
     records the sup bound the stepper acts on (the sum of coefficient
-    magnitudes, which its CFL and blow-up tests read) and ``l2_norms``
-    the L^2 norm.  ``status`` is ``completed`` or one of the
-    abort markers (``max-steps``, ``cfl``, ``blow-up``).
+    magnitudes, which its CFL and blow-up tests read).  ``status`` is
+    ``completed`` or one of the abort markers (``max-steps``, ``cfl``,
+    ``blow-up``).
     """
 
     grid: Grid
@@ -68,37 +70,15 @@ class Trajectory:
     states: list = dc_field(default_factory=list)
     step_times: list = dc_field(default_factory=list)
     sup_bounds: list = dc_field(default_factory=list)
-    l2_norms: list = dc_field(default_factory=list)
     status: str = "completed"
-    forcing_record: str = "none"
     diagnostics: dict = dc_field(default_factory=dict)
 
     def append(self, t: float, state, sup_bound: float, store: bool) -> None:
         self.step_times.append(t)
         self.sup_bounds.append(sup_bound)
-        self.l2_norms.append(state.l2_norm())
         if store:
             self.times.append(t)
             self.states.append(state)
-
-    def interpolate(self, t: float):
-        """The state at a time ``t`` of the stored span: the stored one at a
-        stored time (within 1e-9 of a step), else linear in time between
-        the two stored around t (second order in the storage step)."""
-        gaps = np.abs(np.asarray(self.times) - t)
-        i = int(np.argmin(gaps))
-        if gaps[i] <= 1e-9 * self.dt:
-            return self.states[i]
-        j = int(np.searchsorted(self.times, t))
-        if j == 0 or j == len(self.times):
-            raise ValueError(f"t={t!r} is outside the stored span")
-        t0, t1 = self.times[j - 1], self.times[j]
-        a = (t - t0) / (t1 - t0)
-        return (1.0 - a) * self.states[j - 1] + a * self.states[j]
-
-    @property
-    def final_time(self) -> float:
-        return self.step_times[-1] if self.step_times else 0.0
 
 
 def _sup_bound(state) -> float:
@@ -121,9 +101,9 @@ def _lawson_step(state, t, dt, rhs, full, half):
         k1.apply_symbol(full) + 2.0 * (k2 + k3).apply_symbol(half) + k4)
 
 
-def _run(grid, config, state0, rhs, tag) -> Trajectory:
+def _run(grid, config, state0, rhs) -> Trajectory:
     dt = config.dt
-    traj = Trajectory(grid=grid, dt=dt, forcing_record=tag)
+    traj = Trajectory(grid=grid, dt=dt)
     h = 2.0 * math.pi / grid.n
     full = np.exp(-grid.ksq * dt)
     half = np.exp(-grid.ksq * (0.5 * dt))
@@ -176,7 +156,7 @@ def solve_forced_ns(grid: Grid, config: SolverConfig,
     ``grid`` (or None).  With both absent this is plain incompressible
     Navier-Stokes.  Zero data with zero forcing stays bitwise zero: all
     stage fields are exact zero arrays and the heat factor preserves
-    them.
+    them.  ``tag`` is the caller's name for the run; nothing records it.
     """
     state0 = u0 if u0 is not None else VectorField.zero(grid)
 
@@ -187,8 +167,7 @@ def solve_forced_ns(grid: Grid, config: SolverConfig,
             out = out - forcing(t)
         return leray_project(out)
 
-    traj = _run(grid, config, state0, rhs, tag)
-    return traj
+    return _run(grid, config, state0, rhs)
 
 
 def heat_duhamel(forcing: ExpSeries, t: float, grid: Grid) -> VectorField:
@@ -262,7 +241,7 @@ def taylor_green_error(grid: Grid, dt: float, t_end: float = 1.0) -> float:
     """Sup error against the exact Taylor-Green flow at ``t_end``."""
     cfg = SolverConfig(dt=dt, t_end=t_end, store_every=10 ** 9,
                        check_cfl=False)
-    traj = solve_forced_ns(grid, cfg, u0=taylor_green(grid), tag="taylor-green")
+    traj = solve_forced_ns(grid, cfg, u0=taylor_green(grid))
     return (traj.states[-1] - taylor_green(grid, t_end)).sup_norm()
 
 
@@ -304,8 +283,7 @@ def manufactured_error(grid: Grid, dt: float, t_end: float = 1.0) -> float:
 
     cfg = SolverConfig(dt=dt, t_end=t_end, store_every=10 ** 9,
                        check_cfl=False)
-    traj = solve_forced_ns(grid, cfg, forcing=forcing, u0=exact(0.0),
-                           tag="manufactured")
+    traj = solve_forced_ns(grid, cfg, forcing=forcing, u0=exact(0.0))
     return (traj.states[-1] - exact(t_end)).sup_norm()
 
 

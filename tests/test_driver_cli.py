@@ -85,27 +85,78 @@ def test_single_level_branchES_and_separation(tmp_path):
     assert not report["assertable"] or report["ratio"] >= 0.5
 
 
-def test_separation_inside_a_completed_corrector_window(tmp_path):
-    # a level-2 corrector whose completed window covers t* = lam_1^{-2}
-    # on a step that does not divide t*: Taylor-Green is the exact
-    # solution, so the even branch at t* is known in closed form
+def _duhamel_modes(modes: dict, r: float, t: float) -> dict:
+    """-int_0^t e^{(t-s) Delta} P F e^{-rs} ds for F = sum of the modes
+    {xi: c}, mode by mode: -P c (e^{-rt} - e^{-|xi|^2 t}) / (|xi|^2 - r),
+    or -P c t e^{-rt} on a resonant mode |xi|^2 = r."""
+    out = {}
+    for xi, c in modes.items():
+        k = np.array(xi, dtype=float)
+        ksq = float(k @ k)
+        pc = c - k * (k @ c) / ksq
+        if ksq == r:
+            factor = t * np.exp(-r * t)
+        else:
+            factor = (np.exp(-r * t) - np.exp(-ksq * t)) / (ksq - r)
+        out[xi] = -factor * pc
+    return out
+
+
+def test_separation_of_a_one_term_forcing_is_the_duhamel_formula(tmp_path):
+    # level 2 holds no perturbation, a one-term F1 and a zero F2, so the
+    # even branch at t* is the linear corrector in closed form; one mode
+    # is resonant and one shares the seed's frequency, so the gap's norm
+    # also checks the sign with which the corrector enters
     cfg = driver.RunConfig(levels=1, grid_n=64, out_dir=str(tmp_path))
     branch = driver.build_solution_pair(cfg)
     grid = branch.grid
-    t_star = 1.0 / float(branch.schedule.lam(1)) ** 2
-    dt = t_star / 10.5
-    run = slv.SolverConfig(dt=dt, t_end=1.2 * t_star, check_cfl=False)
-    traj = slv.solve_forced_ns(grid, run, u0=slv.taylor_green(grid))
-    assert traj.status == "completed" and traj.times[-1] > t_star
+    lam1 = branch.schedule.lam(1)
+    t_star = 1.0 / float(lam1) ** 2
+    r = 50.0
+    half = {(1, 7): np.array([300.0 + 200.0j, -100.0j]),
+            (3, -2): np.array([-150.0, 400.0 + 50.0j]),
+            (lam1, 0): np.array([80.0j, 900.0 - 300.0j])}
+    modes = {**half, **{(-a, -b): np.conj(c) for (a, b), c in half.items()}}
     zero = ExpSeries({0.0: VectorField.zero(grid)})
-    branch.levels[2] = cons.LevelState(m=2, lam=branch.schedule.lam(2),
-                                       w_p=zero, R_wp=None, C0=1000.0,
-                                       w_ns=traj)
+    branch.levels[2] = cons.LevelState(
+        m=2, lam=branch.schedule.lam(2), w_p=zero, R_wp=None, C0=1000.0,
+        F1=ExpSeries({r: VectorField.from_modes(grid, modes)}), F2=zero)
     report = driver.separation_report(branch)
-    gap = branch.partial_sum("odd", t_star, grid) - slv.taylor_green(
-        grid, t_star)
-    direct = besov_norm(gap, -1.0, np.inf, np.inf)
-    assert abs(report["gap_norm"] - direct) <= 1e-6 * direct
+
+    w_l = VectorField.from_modes(grid, _duhamel_modes(modes, r, t_star))
+    got = branch.levels[2].parts(t_star, grid)["w_L"]
+    assert np.abs((got - w_l).coef).max() <= 1e-12 * np.abs(w_l.coef).max()
+    seed = branch.levels[1].w_p.at(t_star).regrid(grid)
+    direct = besov_norm(seed - w_l, -1.0, np.inf, np.inf)
+    assert abs(report["gap_norm"] - direct) <= 1e-12 * direct
+    assert report["part"] == "linear-duhamel"
+    assert set(report["parts"]) == {"seed", "w_p(2)", "w_L(2)"}
+
+
+def test_separation_records_the_size_of_each_part(tmp_path):
+    # the benchmark's small schedule: seed, w_p, w_s and w_L of level 2
+    cfg = driver.RunConfig(lams=(5, 10), levels=2, grid_n=256,
+                           out_dir=str(tmp_path))
+    branch = driver.build_solution_pair(cfg)
+    report = driver.separation_report(branch)
+    grid = branch.grid
+    t_star = report["t_star"]
+    seed, state = branch.levels[1], branch.levels[2]
+    parts = {"seed": seed.w_p.at(t_star).regrid(grid),
+             "w_p(2)": state.w_p.at(t_star).regrid(grid),
+             "w_s(2)": state.w_s.at(t_star).regrid(grid),
+             "w_L(2)": slv.heat_duhamel(state.F1 + state.F2, t_star, grid)}
+    m0 = report["M0"]
+    assert set(report["parts"]) == set(parts)
+    for name, part in parts.items():
+        size = besov_norm(part, -1.0, np.inf, np.inf) / m0
+        assert report["parts"][name] == pytest.approx(size, rel=1e-12), name
+    # the seed decays by e^{-1} at t*, which M0 already carries
+    assert report["parts"]["seed"] == pytest.approx(1.0, rel=1e-12)
+    gap = branch.partial_sum("odd", t_star, grid) - branch.partial_sum(
+        "even", t_star, grid)
+    direct = besov_norm(gap, -1.0, np.inf, np.inf) / m0
+    assert report["ratio"] == pytest.approx(direct, rel=1e-12)
 
 
 def test_single_level_telescoping(tmp_path):

@@ -176,16 +176,24 @@ class LevelState:
     w_p_rem: ExpSeries | None = None
     diagnostics: dict = dc_field(default_factory=dict)
 
+    def w_L(self, times, grid: Grid):
+        """The corrector's linear part at each of ``times`` on ``grid``: the
+        exact heat-Duhamel integral of F1 + F2 from zero data
+        (``solver.heat_duhamel``), which is zero at t = 0."""
+        forcing = self.F1 + self.F2
+        for t in times:
+            yield (VectorField.zero(grid) if t == 0.0
+                   else heat_duhamel(forcing, t, grid))
+
     def parts(self, t: float, grid: Grid) -> dict:
         """The computed parts of w_m(t) on ``grid``, by name: ``w_p``,
         ``w_s`` (when the level has one) and ``w_L`` (when it has a
-        forcing), the corrector's linear part, the exact heat-Duhamel
-        integral of F1 + F2 from zero data (``solver.heat_duhamel``)."""
+        forcing)."""
         out = {"w_p": self.w_p.at(t).regrid(grid)}
         if self.w_s is not None:
             out["w_s"] = self.w_s.at(t).regrid(grid)
         if self.F1 is not None:
-            out["w_L"] = heat_duhamel(self.F1 + self.F2, t, grid)
+            out["w_L"], = self.w_L([t], grid)
         return out
 
     def total_w(self, t: float, grid: Grid) -> VectorField:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field, asdict
 import numpy as np
 
 from . import construction as cons
-from . import solver as slv
 from .geometry import LAMBDA
 from .nsf2 import atomic_write
 from .profile import build_cutoffs
@@ -199,13 +198,13 @@ def leading_corrector_norm(state, grid: Grid, t_end: float):
 
     The heat-dominated leading term of the corrector is the Duhamel integral
     -int_0^t e^{(t-s) Delta} P (F1 + F2)(s) ds, evaluated exactly at the
-    samples of :func:`corrector_window_times`.  Returns the samples and
-    the L~^inf_t B^{-1/2}_{inf,1} norm over [0, t_end].
+    samples of :func:`corrector_window_times` (``LevelState.w_L``).
+    Returns the samples and the L~^inf_t B^{-1/2}_{inf,1} norm over
+    [0, t_end].
     """
-    forcing = state.F1 + state.F2
     times = corrector_window_times(state.lam, t_end)
     norm = chemin_lerner_norm(
-        times, (slv.heat_duhamel(forcing, t, grid) for t in times),
+        times, state.w_L(times, grid),
         -0.5, np.inf, 1.0, np.inf)
     return times, norm
 

@@ -1,8 +1,7 @@
 """Pseudo-spectral time integration on the torus.
 
-One stepper serves forced Navier-Stokes, optionally linearized around a
-given coupling flow plus its own quadratic term, and plain Navier-Stokes;
-it is verified on exact and manufactured solutions, and the tests also
+One stepper serves forced and plain incompressible Navier-Stokes; it is
+verified on exact and manufactured solutions, and the tests also
 step the linear transport-diffusion equation on it, as the reference
 for ``heat_duhamel``.  The pair run steps nothing: the corrector's
 linear part is ``heat_duhamel``, exact in time, and its nonlinear
@@ -140,29 +139,28 @@ def _run(grid, config, state0, rhs) -> Trajectory:
 
 def _advection(w: VectorField, U: VectorField | None) -> VectorField:
     """-div(w@w + w@U + U@w), the divergence of the one symmetric product
-    sym(w (x) (w + 2U)), or of w (x) w without U."""
+    sym(w (x) (w + 2U)), or of w (x) w without U.  The stepper passes no
+    U; the tests check the coupled form against the flux directly."""
     v = w if U is None else w + 2.0 * U
     (_, div), = flux_divergences({0: [(w, v)]}, w.grid)
     return -div
 
 
 def solve_forced_ns(grid: Grid, config: SolverConfig,
-                    forcing=None, coupling=None,
+                    forcing=None,
                     u0: VectorField | None = None,
                     tag: str = "forced-ns") -> Trajectory:
-    """Advance w' = Delta w - P[div(w@w + w@U + U@w)] - P F.
+    """Advance w' = Delta w - P[div(w@w)] - P F.
 
-    ``forcing`` and ``coupling`` are callables t -> VectorField on
-    ``grid`` (or None).  With both absent this is plain incompressible
-    Navier-Stokes.  Zero data with zero forcing stays bitwise zero: all
-    stage fields are exact zero arrays and the heat factor preserves
-    them.  ``tag`` is the caller's name for the run; nothing records it.
+    ``forcing`` is a callable t -> VectorField on ``grid`` (or None).
+    Without it this is plain incompressible Navier-Stokes.  Zero data
+    with zero forcing stays bitwise zero: all stage fields are exact
+    zero arrays and the heat factor preserves them.  ``tag`` is the caller's name for the run; nothing records it.
     """
     state0 = u0 if u0 is not None else VectorField.zero(grid)
 
     def rhs(t, w):
-        u = coupling(t) if coupling is not None else None
-        out = _advection(w, u)
+        out = _advection(w, None)
         if forcing is not None:
             out = out - forcing(t)
         return leray_project(out)

@@ -7,6 +7,10 @@ Exits 1 when any ledger entry fails. With two or more levels the
 not solved (``"solved": "none"``, covered 0), and the branches carry its
 linear part, the exact heat-Duhamel integral of the forcing, alone.
 
+It prints the wall time of the build and the separation report, and
+the process's own peak RSS (``ru_maxrss``), so no outside timer is
+needed.
+
 Example:
     python scripts/run_pair.py --grid 1024 --band 8 --out out/pair
 """
@@ -14,6 +18,7 @@ Example:
 import argparse
 import dataclasses
 import os
+import resource
 import time
 
 from torusns import driver
@@ -48,7 +53,10 @@ def main():
           f"assertable = {report['assertable']})")
     print("parts at t* over M0: " + ", ".join(
         f"{k} {v:.4g}" for k, v in report["parts"].items()))
-    print(f"ledger written to {path}; total {elapsed:.1f}s")
+    # this process's own high-water mark (ru_maxrss is in KiB on Linux)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"ledger written to {path}; total {elapsed:.1f}s, "
+          f"peak RSS {peak:.0f} MB")
     return 0 if all(e["status"] != "fail" for e in branch.ledger) else 1
 
 

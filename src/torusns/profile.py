@@ -34,7 +34,6 @@ import numpy as np
 
 from .geometry import LAMBDA, integer_frequency
 from .schedule import ParamSchedule
-from .spaces import smooth_step
 from .spectral import Grid, SpectralField
 
 
@@ -176,15 +175,15 @@ _BLOCK_POINTS = 1 << 20
 
 @dataclass(frozen=True)
 class CutoffSystem:
-    """Nested strip sets of levels 1..level and their smooth cutoff.
+    """Nested strip sets of levels 1..level and their area fractions.
 
     The strip set of level l and direction k is
     ``{x : dist(mu_l k.x, 2 pi Z) <= 1/100}`` — the support of the
     concentration shear — and its fattening enlarges the threshold to
     2/100.  The full set intersects, over the levels, the union over
-    directions.  The cutoff ``chi`` is an analytically evaluated product
-    of smooth one-dimensional window functions: 1 on the intersected
-    strips, 0 outside the intersected fattened strips, values in [0, 1].
+    directions.  The construction takes the smooth cutoff, 1 on the
+    intersected strips and 0 outside the intersected fattened strips, as
+    1, so only the sets' areas are computed here.
     """
 
     schedule: ParamSchedule
@@ -210,19 +209,6 @@ class CutoffSystem:
             hit = reduce(np.maximum, [member(mu, k) for k in self.directions])
             out = hit if out is None else np.minimum(out, hit)
         return out
-
-    def _level_union(self, x1, x2, half_width: float) -> np.ndarray:
-        """Boolean membership in the intersected union of strips."""
-        x1 = np.asarray(x1, dtype=np.float64)
-        x2 = np.asarray(x2, dtype=np.float64)
-        return self._intersect_unions(lambda mu, k: _wrap(
-            float(k[0]) * mu * x1 + float(k[1]) * mu * x2) <= half_width)
-
-    def strip_indicator(self, x1, x2) -> np.ndarray:
-        return self._level_union(x1, x2, STRIP_HALF_WIDTH)
-
-    def fattened_indicator(self, x1, x2) -> np.ndarray:
-        return self._level_union(x1, x2, FATTENED_HALF_WIDTH)
 
     def area_fractions(self, samples: int = 4096) -> dict:
         """Area fractions of the strip sets on a samples^2 grid; their bound.
@@ -262,30 +248,6 @@ class CutoffSystem:
             "bound": 2.0 ** (-2 * q + 1),
             "within_bound": frac_fat <= 2.0 ** (-2 * q + 1),
         }
-
-    def chi(self, x1, x2) -> np.ndarray:
-        """Smooth cutoff evaluated at arbitrary points.
-
-        Per level, a direction-wise window rho(mu k . x) equals 1 for
-        strip coordinate below 5/400 and 0 above 7/400; the windows are
-        combined as 1 - prod(1 - rho) over directions (1 near any strip)
-        and multiplied over levels.  Both thresholds sit strictly between
-        the strip half-width 4/400 and the fattened half-width 8/400, so
-        the plateau and support constraints hold by construction.
-        """
-        a_in, a_out = 5.0 / 400.0, 7.0 / 400.0
-        x1 = np.asarray(x1, dtype=np.float64)
-        x2 = np.asarray(x2, dtype=np.float64)
-        out = np.ones(np.broadcast(x1, x2).shape)
-        for l in range(1, self.level + 1):
-            mu = self.schedule.mu(l)
-            miss = np.ones_like(out)
-            for k in self.directions:
-                theta = float(k[0]) * mu * x1 + float(k[1]) * mu * x2
-                v = 0.25 + (_wrap(theta) - a_in) / (2.0 * (a_out - a_in))
-                miss *= smooth_step(v)
-            out *= 1.0 - miss
-        return out
 
 
 def build_cutoffs(schedule: ParamSchedule, q: int) -> CutoffSystem:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .spectral import (Grid, SpectralField, VectorField, flux_divergences,
-                       leray_project, weighted_sum)
+from .spectral import (Grid, SpectralField, VectorField, fit_grid,
+                       flux_divergences, leray_project, weighted_sum)
 from .timefield import ExpSeries
 
 #: a run stops as ``blow-up`` once the sup bound exceeds this multiple
@@ -178,15 +178,34 @@ def heat_duhamel(forcing: ExpSeries, t: float, grid: Grid) -> VectorField:
     through expm1, so no time stepping and no cancellation enter.  The
     factors are real radial multipliers, which commute with P, so the
     terms are summed in one array (``weighted_sum``) and projected once.
+
+    Grid rule: each term is fitted to the smallest grid that holds its
+    band (``fit_grid``, which drops what lies beyond it; the band is
+    cached on the term, so the calls of one norm measure it once), one
+    e^{-|xi|^2 t} is formed per distinct term grid, and the terms are
+    summed on the finest of those grids, cut to ``grid`` when that is
+    smaller, projected, and embedded into ``grid`` last.  The cost
+    follows the forcing's band, not the grid it is stored on.
+
+    Known reality: the factors and P are real and even, so when every
+    term's samples are real (``real_samples``, cached on the term) the
+    output is marked real without a Hermitian test of its own; else it
+    tests itself when asked.  At late times its rounding-level
+    anti-Hermitian part can exceed 1e-12 of its largest coefficient; the
+    real transforms drop it.
     """
     if not forcing.terms:
         return VectorField.zero(grid)
+    terms = {r: fit_grid(f) for r, f in forcing.terms.items()}
+    heat = {}
 
     def factor(g, r):
         # the negated factor, so that the sum needs no sign pass
+        if g.n not in heat:
+            heat[g.n] = np.exp(-g.ksq * t)
         d = g.ksq - r
         near = np.abs(d) * t < 0.1
-        out = (np.exp(-g.ksq * t) - math.exp(-r * t)) / np.where(near, 1.0, d)
+        out = (heat[g.n] - math.exp(-r * t)) / np.where(near, 1.0, d)
         dn = d[near]
         small = np.full(dn.shape, t)
         nz = dn != 0.0
@@ -194,10 +213,13 @@ def heat_duhamel(forcing: ExpSeries, t: float, grid: Grid) -> VectorField:
         out[near] = -math.exp(-r * t) * small
         return out
 
-    terms = forcing.terms
     total = weighted_sum(terms.values(),
                          (factor(f.grid, r) for r, f in terms.items()))
-    return leray_project(total.regrid(grid))
+    if total.grid.n > grid.n:
+        total = total.regrid(grid)
+    w = leray_project(total).regrid(grid)
+    real = all(f.real_samples for f in forcing.terms.values())
+    return SpectralField(grid, w.coef, band=w.band, real=real or None)
 
 
 # ---------------------------------------------------------------------------

@@ -725,8 +725,11 @@ def fit_grid(field: SpectralField) -> SpectralField:
     """Re-represent a field on the smallest grid holding its band
     (``grid_for``), when that is smaller than its own.
 
-    Exact (no information is lost); used to keep long-lived band-limited
-    fields compact while products are still evaluated on finer grids.
+    It drops what lies beyond ``band``: when the band was measured
+    (``_band_of``), coefficients each below 1e-14 of their component's
+    largest; when it was passed on as a bound, only zeros.  It keeps
+    long-lived band-limited fields compact while products are still
+    evaluated on finer grids.
     """
     grid = grid_for(field.band)
     return field if grid.n >= field.grid.n else field.regrid(grid)

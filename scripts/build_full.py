@@ -5,16 +5,32 @@ concentration-profile band, prints every identity residual and the
 pressure-absorption contract, and reports wall time plus peak memory.
 Each timed phase prints its time and the process's peak RSS
 (``ru_maxrss``) so far.  It also prints the grid each series stores each
-rate on, and the grid the pressure contract runs on.
+rate on, the grid the pressure contract runs on, and one sha256 over
+every stored term of the level, so two runs show whether the builds are
+bit-identical.
 """
 
 import argparse
+import hashlib
 import resource
 import time
+
+import numpy as np
 
 from torusns import construction as cons
 from torusns.schedule import toy_schedule
 from torusns.spectral import Grid
+
+
+def series_digest(state) -> str:
+    """sha256 over every stored term of w_p, w_s, F1, P1, F2 and R_wp, in
+    rate order: its series, rate, grid, band and coefficient bytes."""
+    h = hashlib.sha256()
+    for name in ("w_p", "w_s", "F1", "P1", "F2", "R_wp"):
+        for r, f in sorted(getattr(state, name).terms.items()):
+            h.update(repr((name, r, f.grid.n, f.band)).encode())
+            h.update(np.ascontiguousarray(f.coef).tobytes())
+    return h.hexdigest()
 
 
 def main() -> None:
@@ -82,6 +98,7 @@ def main() -> None:
     print(f"F1 rates: {sorted(state.F1.terms)}")
     print(f"P1 rates: {sorted(state.P1.terms)}")
     print(f"F2 rates: {sorted(state.F2.terms)}")
+    print(f"series sha256: {series_digest(state)}")
     print(f"total {time.perf_counter() - t0:.1f}s, "
           f"peak RSS {peak_gb():.2f} GB")
 

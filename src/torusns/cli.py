@@ -29,7 +29,7 @@ def _base_config(args) -> driver.RunConfig:
     else:
         config = driver.RunConfig()
     updates = {}
-    if args.grid:
+    if args.grid is not None:
         updates["grid_n"] = args.grid
     if args.out:
         updates["out_dir"] = args.out
@@ -41,6 +41,8 @@ def _base_config(args) -> driver.RunConfig:
 
 
 def _build_through(config: driver.RunConfig, m: int) -> driver.BranchState:
+    if m < 1:
+        raise ValueError(f"level {m} does not exist; levels start at 1")
     branch = driver.new_branch(config)
     for level in range(1, m + 1):
         driver.run_level(branch, level)
@@ -112,7 +114,7 @@ def cmd_check_identities(args) -> int:
 
 def cmd_build_pair(args) -> int:
     config = _base_config(args)
-    if args.levels:
+    if args.levels is not None:
         config = dataclasses.replace(config, levels=args.levels)
     branch = driver.build_solution_pair(config)
     return _finish(branch, config)

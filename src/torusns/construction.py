@@ -221,7 +221,7 @@ def seed_level(grid: Grid, schedule: ParamSchedule) -> LevelState:
         m=1, lam=lam, C0=1000.0,
         w_p=ExpSeries({rate: shear}),
         R_wp=ExpSeries({rate: lift}),
-        w_s=None, diagnostics={"seed": True},
+        w_s=None,
     )
     return state
 
@@ -319,26 +319,6 @@ class EvenLevelBuilder:
         """The smallest grid holding ``band``, capped at the product grid."""
         return Grid(min(grid_for(band).n, self.grid.n))
 
-    def _f1_grid(self, amps, phis, envelopes, main, rem) -> Grid:
-        """The grid of F1's and P1's accumulators: the smallest that holds
-        an upper bound of the band of every term ``_assemble_f1`` adds,
-        capped at the product grid.  The bound takes each envelope pair's
-        two widest terms moved by its widest shift, each direction's
-        mollification gap and oscillation parts (2 band(phi) plus the wider
-        of 2 band(amp) and band(raw_sq)), and the main x remainder cross
-        terms."""
-        top = [_series_band(env) for env in envelopes]
-        pair = max(
-            top[a] + top[b] + max(abs(ka[i] + s * kb[i])
-                                  for i in (0, 1) for s in (1, -1))
-            for a, (_, _, ka) in enumerate(self.pairs)
-            for b, (_, _, kb) in enumerate(self.pairs) if b >= a)
-        gap = max(2 * phi.band + max(2 * _series_band(amp.amp),
-                                     _series_band(amp.raw_sq))
-                  for amp, phi in zip(amps, phis))
-        cross = _series_band(main) + _series_band(rem)
-        return self._own_grid(max(pair, gap, cross, 2 * _series_band(rem)))
-
     # -- w_p: stream form, split, and lift ---------------------------------
     def _assemble_wp(self, state: LevelState, envelopes) -> None:
         lam = float(self.lam)
@@ -407,33 +387,43 @@ class EvenLevelBuilder:
         ).scale_rates(2.0 * lam2)
 
     # -- F1 / P1 -----------------------------------------------------------
+    def _accumulate(self, store: dict, rate: float, c: np.ndarray,
+                    band: int = 0, v=(0, 0)) -> None:
+        """Slice-add c, shifted by v, into store[rate], which first grows,
+        by ``add_shifted`` into zeros, to the smallest grid that holds c's
+        grid and band + |v|_inf, capped at the product grid."""
+        shift = max(abs(v[0]), abs(v[1]))
+        n = min(max(c.shape[-1], grid_for(band + shift).n), self.grid.n)
+        if band + shift > n // 2 - 1:
+            raise ValueError("quadratic interaction leaves the grid band "
+                             f"(band {band}, shift {v}, n={n})")
+        acc = store.get(rate)
+        if acc is None or acc.shape[-1] < n:
+            store[rate] = np.zeros(c.shape[:-2] + (n, n), dtype=complex)
+            if acc is not None:
+                add_shifted(store[rate], acc, (0, 0))
+        add_shifted(store[rate], c, v)
+
     def _assemble_f1(self, state, amps, phis, envelopes, C0) -> None:
         """Assemble the quadratic error and its pressure.
 
         The hot loops accumulate straight into per-rate coefficient
-        arrays on the smallest grid that holds every term they add
-        (``_f1_grid``), so no slice-add cuts anything.  Each envelope
-        pair's products of one rate sum, less those below rounding
-        (``pairs_by_rate``: 3 of the 5 sums of two square-root ladders),
-        are summed into one field u on the smallest grid that holds its
-        band, and its modulated integrands are slice-added into the
-        accumulators at their frequency offset: the peak is the
+        arrays, each grown to the smallest grid that holds what is added
+        to it (``_accumulate``), so no slice-add cuts anything.  Each
+        envelope pair's products of one rate sum, less those below
+        rounding (``pairs_by_rate``: 3 of the 5 sums of two square-root
+        ladders), are summed into one field u on the smallest grid that
+        holds its band, and its modulated integrands are slice-added into
+        the accumulators at their frequency offset: the peak is the
         accumulators plus one sum's.  Every part is formed on its own
-        grid, whatever the accumulators', and the stored terms are cropped
-        to their bands (``fit_grid``).
+        grid, and the stored terms are cropped to their bands
+        (``fit_grid``).
         """
         lam = float(self.lam)
         lam2 = lam * lam
         main, rem = state.w_p_main, state.w_p_rem
-        grid = self._f1_grid(amps, phis, envelopes, main, rem)
-        n = grid.n
         f11_acc: dict = {}   # rate -> (2, n, n) vector coefficients
         p11_acc: dict = {}   # rate -> (n, n) scalar coefficients
-
-        def acc(store, rate, shape):
-            if rate not in store:
-                store[rate] = np.zeros(shape + (n, n), dtype=complex)
-            return store[rate]
 
         # cross interactions of the main/remainder split come first, while
         # the P1 accumulators are not yet there: their samples on the
@@ -442,14 +432,14 @@ class EvenLevelBuilder:
         bm, br = _series_band(main), _series_band(rem)
         for r, dv in chain(_sym_flux(main, rem, self._own_grid(bm + br)),
                            _sym_flux(rem, None, self._own_grid(2 * br))):
-            add_shifted(acc(f11_acc, r - 2.0 * lam2, (2,)), dv.coef, (0, 0))
+            self._accumulate(f11_acc, r - 2.0 * lam2, dv.coef)
             del dv
 
         npairs = len(self.pairs)
         for a in range(npairs):
             for b in range(a, npairs):
-                kfa, kba, kva = self.pairs[a]
-                kfb, kbb, kvb = self.pairs[b]
+                _, kba, kva = self.pairs[a]
+                _, kbb, kvb = self.pairs[b]
                 signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)] if a != b \
                     else [(1, 1), (-1, -1)]
                 kdot = float(kba @ kbb)
@@ -460,49 +450,36 @@ class EvenLevelBuilder:
                 for r, c, ub in product_sums(ea.pairs_by_rate(eb), ugrid):
                     u = SpectralField(ugrid, c, band=ub)
                     gu = u.gradient().coef
-                    gu1, gu2 = gu
-                    band = u.band
-                    gka = kba[0] * gu1 + kba[1] * gu2
-                    gkb = gka if a == b else kbb[0] * gu1 + kbb[1] * gu2
+                    gka = kba[0] * gu[0] + kba[1] * gu[1]
+                    gkb = gka if a == b else kbb[0] * gu[0] + kbb[1] * gu[1]
                     # summed over both enumeration orders (jbar and kbar
                     # swapped), the integrand depends on the two signs
-                    # only through their product s, so two precomputed
-                    # variants cover all four sign combinations and each
-                    # combination costs one slice-add per accumulator
-                    cache: dict = {}
-
-                    def integrand(s, _a=a, _b=b):
-                        if s in cache:
-                            return cache[s]
+                    # only through their product s, so one (pressure,
+                    # force) pair per sign product covers all four sign
+                    # combinations; the pressure term is order-symmetric,
+                    # so off-diagonal combinations pick it up twice
+                    parts = {}
+                    for s in {sa * sb for sa, sb in signs}:
                         dot = s * kdot
-                        if _a != _b:
+                        if a != b:
                             fi = lam2 * ((dot - 1.0) * gu - s * (
                                 ka * gkb + kb * gka))
                         else:
                             fi = lam2 * (0.5 * (dot - 1.0) * gu -
                                          s * ka * gka)
-                        # the pressure term is order-symmetric, so
-                        # off-diagonal combinations pick it up twice
-                        p_coef = -0.5 * lam2 * (dot - 1.0) * \
-                            (2.0 if _a != _b else 1.0)
-                        pi = None if dot == 1.0 else p_coef * u.coef
-                        cache[s] = (pi, fi)
-                        return cache[s]
-
+                        parts[s] = (None if dot == 1.0 else -0.5 * lam2 * (
+                            dot - 1.0) * (2.0 if a != b else 1.0) * u.coef, fi)
+                    del gu, gka, gkb
                     for (sa, sb) in signs:
                         va = (sa * kva[0] + sb * kvb[0],
                               sa * kva[1] + sb * kvb[1])
                         if va == (0, 0):
                             continue
-                        if band + max(abs(va[0]), abs(va[1])) > n // 2 - 1:
-                            raise ValueError(
-                                "quadratic interaction leaves the grid "
-                                f"band (band {band}, shift {va}, n={n})")
-                        pi, fi = integrand(sa * sb)
+                        pi, fi = parts[sa * sb]
                         if pi is not None:
-                            add_shifted(acc(p11_acc, r, ()), pi, va)
-                        add_shifted(acc(f11_acc, r, (2,)), fi, va)
-                    del c, u, gu, gu1, gu2, gka, gkb, cache
+                            self._accumulate(p11_acc, r, pi, u.band, va)
+                        self._accumulate(f11_acc, r, fi, u.band, va)
+                    del c, u, parts, pi, fi
 
         # mollification gap and profile-oscillation parts go into the
         # same accumulators (their rates are a subset of the above); both
@@ -530,20 +507,20 @@ class EvenLevelBuilder:
             for r, c, band in product_sums(groups, pgrid):
                 sc = SpectralField(pgrid, c, band=band)
                 dv = (kb_outer * sc).divergence()
-                add_shifted(acc(f11_acc, r, (2,)), scale12 * dv.coef, (0, 0))
+                self._accumulate(f11_acc, r, scale12 * dv.coef)
                 del c, sc, dv
             del phi_sq, osc, mol_sq, gap, groups
 
-        f1 = ExpSeries({r: fit_grid(SpectralField(grid, c))
-                        for r, c in f11_acc.items()})
+        def stored(acc):
+            return ExpSeries({r: fit_grid(SpectralField(Grid(c.shape[-1]), c))
+                              for r, c in acc.items()})
+
         prev_dt = self.prev.w_p.dt().scale_rates(2.0 * lam2)
-        state.F1 = f1.scale_rates(2.0 * lam2) + prev_dt
+        state.F1 = stored(f11_acc).scale_rates(2.0 * lam2) + prev_dt
         # P1 = P11 + P12;  P12 = 2000 C0 lam^2 chi^2 is spatially constant
-        p11 = ExpSeries({r: fit_grid(SpectralField(grid, c))
-                         for r, c in p11_acc.items()})
-        p12 = ExpSeries({0.0: _const_field(grid, 2000.0 * C0 * lam2)})
-        state.P1 = p11.scale_rates(2.0 * lam2) + p12.scale_rates(2.0 * lam2)
-        state.diagnostics["f1_rates"] = state.F1.rates
+        p12 = ExpSeries({0.0: _const_field(self.grid, 2000.0 * C0 * lam2)})
+        state.P1 = (stored(p11_acc).scale_rates(2.0 * lam2)
+                    + p12.scale_rates(2.0 * lam2))
 
     # -- F2 ----------------------------------------------------------------
     def _assemble_f2(self, state: LevelState) -> None:

@@ -54,6 +54,8 @@ class RunConfig:
     seed: int = 0
 
     def schedule(self) -> ParamSchedule:
+        if self.levels < 1:
+            raise ValueError(f"levels={self.levels} must be at least 1")
         if self.levels > len(self.lams):
             raise ValueError(
                 f"levels={self.levels} exceeds the schedule's length "

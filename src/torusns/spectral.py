@@ -31,13 +31,14 @@ per key.  ``product`` and ``outer`` pass one pair; a series product
 quadratic flux divergence, the solver's advection, F1's and F2's cross
 terms and the pressure contract's, is a ``flux_divergences`` call: the
 only reader of the three planes (t11, t12, t22) of a symmetric product.
-``add_shifted`` is the one frequency shift: it adds coefficients of a grid
-no finer than the target's at a frequency offset, by slice-adds with no
-padded or rolled copy, and keeps only what lands at |xi|_inf <= n/2 - 1, as
-a cut does.  Nothing wraps, so a shift formed on any grid equals the same
-shift formed on a finer grid and cut back; ``SpectralField.shift`` and the
-construction's accumulators are calls of it.  ``grid_for`` is the one rule
-for the smallest grid that holds a band.
+``_runs`` is the one placement rule: the slice blocks that carry the
+coefficients of any grid, at a frequency offset, to another, keeping only
+what lands at |xi|_inf <= n/2 - 1, as a cut does.  Nothing wraps, so a
+shift formed on any grid equals the same shift formed on a finer grid and
+cut back.  ``_pad`` (every embedding and cut) places by it, and
+``add_shifted`` adds by it for ``SpectralField.shift``, ``weighted_sum``
+and the construction's accumulators.
+``grid_for`` is the one rule for the smallest grid that holds a band.
 
 A grid size n is a multiple of 4, at least 16, with no prime factor other
 than 2, 3 and 5, so the 3/2 grid m = 3n/2 is even and 5-smooth as well;
@@ -148,7 +149,7 @@ def _band_of(coef: np.ndarray) -> int:
     mags = np.abs(coef)
     sig = mags > 1e-14 * mags.max(axis=(-2, -1), keepdims=True)
     sig = sig.reshape(-1, n, n).any(axis=0)
-    absk = np.abs(_grid_cache(n)[0])
+    absk = np.abs(np.fft.fftfreq(n, d=1.0 / n))  # no n x n grid cache
     return int(max(absk[sig.any(axis=1)].max(initial=0),
                    absk[sig.any(axis=0)].max(initial=0)))
 
@@ -457,26 +458,16 @@ def _max_band(b1, b2):
 
 
 def _pad(coef: np.ndarray, m: int) -> np.ndarray:
-    """The n x n coefficients in a new m x m array, per component: an
-    embedding for m >= n, else a cut to |xi|_inf < m/2.  A cut would keep
-    xi = -m/2 without its partner +m/2, so it leaves row and column m/2
-    empty and a real field's cut stays real."""
-    n = coef.shape[-1]
+    """The n x n coefficients in a new m x m array, per component, placed
+    by ``_runs`` at offset 0: an embedding for m > n, else a cut to
+    |xi|_inf <= m/2 - 1, which leaves row and column m/2 empty, so a real
+    field's cut stays real.  For m = n it is a copy, Nyquist lines kept."""
+    if coef.shape[-1] == m:
+        return coef.astype(np.complex128)
     out = np.zeros(coef.shape[:-2] + (m, m), dtype=np.complex128)
-    h = min(n, m) // 2
-    out[..., :h, :h] = coef[..., :h, :h]
-    out[..., :h, m - h:] = coef[..., :h, n - h:]
-    out[..., m - h:, :h] = coef[..., n - h:, :h]
-    out[..., m - h:, m - h:] = coef[..., n - h:, n - h:]
-    if m < n:
-        out[..., m // 2, :] = out[..., :, m // 2] = 0.0
+    for src, dst in _runs(coef.shape[-1], (0, 0), m):
+        out[dst] = coef[src]
     return out
-
-
-def _truncate(coef: np.ndarray, n: int) -> np.ndarray:
-    """Restrict m x m coefficients (m >= n) to the n x n band, symmetric
-    about xi = 0 (see ``_pad``)."""
-    return coef if coef.shape[-1] == n else _pad(coef, n)
 
 
 def _physical(f: SpectralField, m: int, symbol=None) -> np.ndarray:
@@ -603,28 +594,30 @@ def flux_divergences(groups: dict, grid: Grid):
 
 def add_shifted(acc: np.ndarray, c: np.ndarray, v) -> None:
     """acc += c shifted in frequency by v = (v1, v2), for coefficients c
-    of a grid no finer than acc's, by slice-adds with no padded or rolled
-    copy.  The rule is a cut's (``_pad``): content that lands at
-    |xi + v|_inf <= n/2 - 1 on acc's n-grid is added and the rest is
-    dropped.  Nothing wraps, so the shift formed on any grid equals the
+    of any grid, by slice-adds over ``_runs``' blocks with no padded or
+    rolled copy: what lands at |xi + v|_inf <= n/2 - 1 on acc's n-grid is
+    added, the rest dropped, so the shift formed on any grid equals the
     same shift formed on a finer grid and then cut, bit for bit."""
-    n, ns = acc.shape[-1], c.shape[-1]
-    runs = [list(_runs(ns, vj, n)) for vj in v]
-    for rs, rt in runs[0]:
-        for cs, ct in runs[1]:
-            acc[..., rt, ct] += c[..., rs, cs]
+    for src, dst in _runs(c.shape[-1], v, acc.shape[-1]):
+        acc[dst] += c[src]
 
 
-def _runs(ns: int, v: int, n: int):
-    """(source, target) slices along one axis that carry frequency k of an
-    ns-grid (-ns/2 <= k < ns/2) to k + v of an n-grid, for the k with
-    |k + v| <= n/2 - 1, cut where the source or the target index wraps."""
-    lo = max(-(ns // 2), 1 - n // 2 - v)
-    hi = max(lo, min(ns // 2, n // 2 - v))
-    cuts = sorted({lo, hi} | {k for k in (0, -v) if lo < k < hi})
-    for a, b in zip(cuts, cuts[1:]):
-        s, t = a % ns, (a + v) % n
-        yield slice(s, s + b - a), slice(t, t + b - a)
+def _runs(ns: int, v, n: int):
+    """(source, target) index pairs of the blocks that carry frequency xi
+    of an ns-grid (-ns/2 <= xi_j < ns/2) to xi + v on an n-grid, for the
+    xi with |xi + v|_inf <= n/2 - 1, cut where a source or target index
+    wraps."""
+    axes = []
+    for vj in v:
+        lo = max(-(ns // 2), 1 - n // 2 - vj)
+        hi = max(lo, min(ns // 2, n // 2 - vj))
+        cuts = sorted({lo, hi} | {k for k in (0, -vj) if lo < k < hi})
+        axes.append([(slice(a % ns, a % ns + b - a),
+                      slice((a + vj) % n, (a + vj) % n + b - a))
+                     for a, b in zip(cuts, cuts[1:])])
+    for rs, rt in axes[0]:
+        for cs, ct in axes[1]:
+            yield (..., rs, cs), (..., rt, ct)
 
 
 def padded_physical(f: SpectralField) -> np.ndarray:
@@ -640,7 +633,7 @@ def padded_spectral(phys: np.ndarray, n: int) -> np.ndarray:
     axis, then the first axis in place over the h + 1 = n/2 + 1 columns
     that are kept; the k2 < 0 columns then follow from
     c[xi] = conj(c[-xi]), read on views of the half spectrum.  When m > n
-    the truncation is symmetric, as ``_truncate``'s: row and column n/2
+    the truncation is symmetric, as ``_pad``'s cut: row and column n/2
     stay empty, so the product of real fields is real.  When m = n they
     keep the samples' Nyquist content.  Complex samples take one call.
     """
@@ -649,7 +642,7 @@ def padded_spectral(phys: np.ndarray, n: int) -> np.ndarray:
         # the second axis transforms in place in the output of the first
         r = np.fft.fftn(phys, axes=(-2, -1), out=np.empty_like(phys))
         r /= m * m
-        return _truncate(r, n)
+        return r if m == n else _pad(r, n)
     h = n // 2
     r = np.fft.rfftn(phys, axes=(-1,))
     kept = r[..., :h + 1]
@@ -695,18 +688,22 @@ def mode_modulus(f: SpectralField) -> np.ndarray:
 
 def weighted_sum(fields, weights) -> SpectralField:
     """sum_i weights[i] * fields[i] in one array on the finest of their
-    grids, the terms embedded as ``regrid`` would and added in order."""
+    grids, in order: the first term placed there as ``regrid`` would, each
+    later one added in place, a coarser one by ``add_shifted`` at offset 0
+    (a term of the finest grid whole, Nyquist lines included)."""
     fields = list(fields)
     grid = max((f.grid for f in fields), key=lambda g: g.n)
     out = None
     for f, w in zip(fields, weights):
-        term = f.coef * w
-        if f.grid != grid:
-            term = _pad(term, grid.n)
+        # x * 1 is x bit for bit, so a later unit weight makes no copy
+        term = f.coef if out is not None and np.isscalar(w) and w == 1 \
+            else f.coef * w
         if out is None:
-            out = term
-        else:
+            out = term if f.grid == grid else _pad(term, grid.n)
+        elif f.grid == grid:
             out += term
+        else:
+            add_shifted(out, term, (0, 0))
     return SpectralField(grid, out,
                          band=reduce(_max_band, (f._band for f in fields)))
 
@@ -755,18 +752,22 @@ def leray_project(v: SpectralField) -> SpectralField:
     return SpectralField(g, out, band=v._band)
 
 
-def calderon_lift(w: SpectralField, div_tol: float = 1e-10) -> SpectralField:
+#: relative tolerance of ``calderon_lift``'s divergence and mean checks
+_LIFT_TOL = 1e-10
+
+
+def calderon_lift(w: SpectralField) -> SpectralField:
     """Symmetric lift R w = -(grad + grad^T)(-Delta)^{-1} w with
     div(R w) = w for solenoidal, mean-zero w.
 
-    Preconditions: div w = 0 and mean(w) = 0 (relative tolerance div_tol).
+    Preconditions: div w = 0 and mean(w) = 0 (relative tolerance _LIFT_TOL).
     """
     g = w.grid
     scale = max(np.abs(w.coef).max(), 1e-300)
     d = w.divergence()
-    if np.abs(d.coef).max() > div_tol * scale * max(1.0, g.nyquist):
+    if np.abs(d.coef).max() > _LIFT_TOL * scale * max(1.0, g.nyquist):
         raise ValueError("calderon_lift requires a divergence-free field")
-    if np.abs(w.coef[:, 0, 0]).max() > div_tol * scale:
+    if np.abs(w.coef[:, 0, 0]).max() > _LIFT_TOL * scale:
         raise ValueError("calderon_lift requires a mean-zero field")
     grad = w.inv_laplacian(mean_tol=1e-6).gradient()
     return -(grad + grad.transpose())

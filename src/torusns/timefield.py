@@ -26,14 +26,6 @@ from .spectral import Grid, SpectralField, product_sums, weighted_sum
 NEGLIGIBLE = 1e-16
 
 
-def _add(f, g):
-    """f + g, both first re-represented on the finer grid if theirs differ."""
-    if hasattr(f, "grid") and hasattr(g, "grid") and f.grid.n != g.grid.n:
-        big = Grid(max(f.grid.n, g.grid.n))
-        f, g = f.regrid(big), g.regrid(big)
-    return f + g
-
-
 def _key(rate: float) -> float:
     """Canonical dict key for a rate (collapses -0.0 and fp dust)."""
     r = float(rate)
@@ -58,7 +50,8 @@ class ExpSeries:
                 self._accumulate(_key(r), f)
 
     def _accumulate(self, r: float, f) -> None:
-        self.terms[r] = _add(self.terms[r], f) if r in self.terms else f
+        old = self.terms.get(r)  # merged as ``at`` merges
+        self.terms[r] = f if old is None else weighted_sum((old, f), (1, 1))
 
     @property
     def rates(self) -> tuple:

@@ -167,8 +167,9 @@ class TestTwoBranchPipeline:
 
     def test_corrector_ledger_entries_name_what_they_measure(self, pair_runs):
         # not a numbered criterion: the window entry passes only when the
-        # stepped corrector covered its window, and the norm entries say
-        # which part of the corrector was measured over which window
+        # nonlinear corrector was solved over its whole window, which no
+        # run does, and the norm entries say which part of the corrector
+        # was measured over which window
         entries = {e["name"]: e for e in pair_runs["branch"].ledger}
         window = entries["corrector/window"]
         v = window["value"]

@@ -189,16 +189,26 @@ def _series_band(series):
 
 def test_forcing_accumulates_on_its_own_grid_and_cuts_nothing(monkeypatch):
     # grid 256, profile band 8, lam = (5, 10): F1 and P1 accumulated on
-    # the grid of their bound equal, bit for bit, the same accumulation on
-    # the product grid cut to each term's own grid
+    # grids grown to what is added equal, bit for bit, the same
+    # accumulation on the product grid cut to each term's own grid
+    grow = cons.EvenLevelBuilder._accumulate
+    sizes = []
+
+    def recorded(self, store, *a):
+        grow(self, store, *a)
+        sizes.extend(c.shape[-1] for c in store.values())
+
+    def on_product_grid(self, store, rate, c, *a):
+        store.setdefault(rate, np.zeros(c.shape[:-2] + (256, 256), complex))
+        grow(self, store, rate, c, *a)
+
     builder, state = _pair_builder()
-    amps, phis, envelopes, _ = builder._ingredients
-    own = builder._f1_grid(amps, phis, envelopes, state.w_p_main,
-                           state.w_p_rem)
-    assert own.n < 256
+    monkeypatch.setattr(cons.EvenLevelBuilder, "_accumulate", recorded)
     builder.assemble_forcing(state)
+    assert sizes and max(sizes) < 256
     wide, wide_state = _pair_builder()
-    monkeypatch.setattr(wide, "_f1_grid", lambda *a: wide.grid)
+    monkeypatch.setattr(cons.EvenLevelBuilder, "_accumulate",
+                        on_product_grid)
     wide.assemble_forcing(wide_state)
     for name in ("F1", "P1"):
         got, ref = getattr(state, name), getattr(wide_state, name)
@@ -207,7 +217,30 @@ def test_forcing_accumulates_on_its_own_grid_and_cuts_nothing(monkeypatch):
             assert f.grid == ref.terms[r].grid
             assert np.array_equal(f.coef, ref.terms[r].coef), (name, r)
             # each stored term lies on the smallest grid that holds it
-            assert f.grid == grid_for(f.band) and f.grid.n <= own.n
+            assert f.grid == grid_for(f.band) and f.grid.n <= max(sizes)
+
+
+def test_forcing_accumulator_grows_to_what_is_added_and_refuses_the_rest():
+    # product grid 256: a band-31 term on grid 64 starts an accumulator on
+    # 64; a band-27 term moved by 100 reaches 127 = n/2 - 1 and grows it
+    # to 256, where the sum equals both added on 256 from the start; band
+    # 28 moved as far leaves the grid band and is refused
+    builder, _ = _pair_builder()
+    small, c = np.random.default_rng(3).standard_normal((2, 2, 64, 64)) + 0j
+    k = np.abs(np.fft.fftfreq(64, 1 / 64))
+    k = np.maximum(k[:, None], k[None, :])
+    small[..., k > 31] = c[..., k > 27] = 0.0
+    store = {}
+    builder._accumulate(store, 1.0, small)
+    assert store[1.0].shape == (2, 64, 64)
+    builder._accumulate(store, 1.0, c, 27, (100, -3))
+    want = np.zeros((2, 256, 256), complex)
+    cons.add_shifted(want, small, (0, 0))
+    cons.add_shifted(want, c, (100, -3))
+    assert np.array_equal(store[1.0], want)
+    with pytest.raises(ValueError, match="leaves the grid band"):
+        builder._accumulate(store, 1.0, c, 28, (-3, 100))
+    assert np.array_equal(store[1.0], want)
 
 
 def test_pressure_contract_runs_on_the_grid_that_holds_its_terms(

@@ -252,6 +252,34 @@ def test_cli_check_identities_seed_level_exit_two(tmp_path, capsys):
     assert "seed level" in capsys.readouterr().err
 
 
+def test_cli_zero_levels_in_config_exit_two(tmp_path, capsys):
+    ini = tmp_path / "zero.ini"
+    ini.write_text("[run]\nlevels = 0\n")
+    rc = cli.main(["--config", str(ini), "--out", str(tmp_path),
+                   "build-pair"])
+    assert rc == 2
+    assert "levels=0" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="at least 1"):
+        driver.RunConfig(levels=0).schedule()
+
+
+def test_cli_build_level_zero_exit_two(tmp_path, capsys):
+    rc = cli.main(["--out", str(tmp_path), "build-level", "--m", "0"])
+    assert rc == 2
+    assert "level 0" in capsys.readouterr().err
+    assert not (tmp_path / "ledger.json").exists()
+
+
+def test_cli_zero_flags_are_not_ignored(tmp_path, capsys):
+    # a zero --levels or --grid is a value, not an absent flag
+    for args in (["build-pair", "--levels", "0"],
+                 ["--grid", "0", "build-pair", "--levels", "1"]):
+        rc = cli.main(["--out", str(tmp_path)] + args)
+        assert rc == 2, args
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "ledger.json").exists()
+
+
 def _readme_usage_lines():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text().split("## Usage", 1)[1].split("```")[1]

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from torusns import spectral
 from torusns.spaces import LittlewoodPaley
 from torusns.spectral import (Grid, MatrixField, SpectralField, VectorField,
-                              _pad, _truncate, add_shifted, calderon_lift,
-                              fit_grid, flux_divergences, grid_for,
-                              leray_project, modulus, padded_physical,
-                              padded_spectral, product_sums, sym_outer)
+                              add_shifted, calderon_lift, fit_grid,
+                              flux_divergences, grid_for, leray_project,
+                              modulus, padded_physical, padded_spectral,
+                              product_sums, sym_outer)
 
 GRID = Grid(64)
 
@@ -130,11 +130,50 @@ def test_shift_band_guard():
         f.shift(20, 0)
 
 
+def _corner_pad(coef, m):
+    """The n x n coefficients in a new m x m array by four corner copies,
+    per component: an embedding for m >= n, else a cut to |xi|_inf < m/2
+    with row and column m/2 emptied.  The oracle of the program's
+    placement (``spectral._runs``), written without it."""
+    n = coef.shape[-1]
+    out = np.zeros(coef.shape[:-2] + (m, m), dtype=np.complex128)
+    h = min(n, m) // 2
+    out[..., :h, :h] = coef[..., :h, :h]
+    out[..., :h, m - h:] = coef[..., :h, n - h:]
+    out[..., m - h:, :h] = coef[..., n - h:, :h]
+    out[..., m - h:, m - h:] = coef[..., n - h:, n - h:]
+    if m < n:
+        out[..., m // 2, :] = out[..., :, m // 2] = 0.0
+    return out
+
+
 def _shift_by_cut(c, v, n=None):
     """c shifted by v onto an n-grid (n defaults to c's): embedded on grid
     512, where no shift used here wraps, rolled there and cut back to n."""
     n = n or c.shape[-1]
-    return _pad(np.roll(_pad(c, 512), v, axis=(-2, -1)), n)
+    return _corner_pad(np.roll(_corner_pad(c, 512), v, axis=(-2, -1)), n)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+@pytest.mark.parametrize("n, m", [(48, 64), (64, 48), (108, 180),
+                                  (180, 108), (256, 108), (256, 48),
+                                  (64, 64), (180, 180)])
+def test_placement_is_the_corner_copy(rng, shape, n, m):
+    # embeddings, cuts and same-size copies, and shifts from a finer grid,
+    # equal the corner-copy oracle bit for bit
+    c = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(
+        shape + (n, n))
+    assert np.array_equal(spectral._pad(c, m), _corner_pad(c, m))
+    # regrid may cut only a field whose band fits the target
+    banded = _corner_pad(_corner_pad(c, min(n, m)), n)
+    f = SpectralField(Grid(n), banded)
+    assert np.array_equal(f.regrid(Grid(m)).coef, _corner_pad(banded, m))
+    if n > m:
+        for v in ((0, 0), (5, -3), (-m // 2, 7)):
+            acc = rng.standard_normal(shape + (m, m)) + 0j
+            want = acc + _shift_by_cut(c, v, m)
+            add_shifted(acc, c, v)
+            assert np.array_equal(acc, want), v
 
 
 def test_shift_drops_rounding_level_content_that_would_wrap(rng):
@@ -246,7 +285,7 @@ def test_product_on_a_five_smooth_grid_is_the_product_on_256_cut(rng, band):
     g = random_field(rng, grid=grid, band=band)
     got = f.product(g).coef
     big = Grid(256)
-    ref = _truncate(f.regrid(big).product(g.regrid(big)).coef, 180)
+    ref = _corner_pad(f.regrid(big).product(g.regrid(big)).coef, 180)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -295,7 +334,7 @@ def test_real_field_takes_real_samples(rng):
     f = random_field(rng, band=31)
     p = padded_physical(f)
     assert p.dtype == np.float64
-    ref = np.fft.ifft2(_pad(f.coef, 96)) * 96 ** 2
+    ref = np.fft.ifft2(_corner_pad(f.coef, 96)) * 96 ** 2
     assert np.abs(p - ref.real).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -451,14 +490,14 @@ def _full_half_samples(f, m, symbol=None):
 
 def _two_axis_coefficients(phys, n):
     """Reference coefficients: rfftn over both axes, the k2 < 0 columns
-    (k2 = -m/2 included) mirrored from the half, then ``_truncate``."""
+    (k2 = -m/2 included) mirrored from the half, then cut to n."""
     m = phys.shape[-1]
     r = np.fft.rfftn(phys, axes=(-2, -1))
     r /= m * m
     full = np.empty(phys.shape, dtype=complex)
     full[..., :m // 2] = r[..., :m // 2]
     full[..., m // 2:] = np.conj(r[..., -np.arange(m) % m, m // 2:0:-1])
-    return _truncate(full, n)
+    return _corner_pad(full, n)
 
 
 @pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
@@ -536,7 +575,7 @@ def test_anti_hermitian_part_keeps_complex_samples(rng):
 @pytest.mark.parametrize("m", [64, 96])
 def test_padded_spectral_of_float_samples(rng, m):
     phys = rng.standard_normal((m, m))
-    ref = _truncate(np.fft.fft2(phys) / m ** 2, 64)
+    ref = _corner_pad(np.fft.fft2(phys) / m ** 2, 64)
     got = padded_spectral(phys, 64)
     assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -659,7 +698,7 @@ TRANSFORMS = {f"{lib}.{fn}" for lib in ("numpy.fft", "scipy.fft")
 
 
 def _transform_uses(path):
-    """(function, dotted name) of every transform or _pad/_truncate use."""
+    """(function, dotted name) of every transform or _pad/_runs use."""
     tree = ast.parse(path.read_text())
     alias = {}
     for node in ast.walk(tree):
@@ -694,7 +733,7 @@ def _transform_uses(path):
 
     visit(tree, None)
     for name in alias.values():
-        if name.endswith(("spectral._pad", "spectral._truncate")):
+        if name.endswith(("spectral._pad", "spectral._runs")):
             uses.append((None, name))
     return uses
 

@@ -107,14 +107,17 @@ def test_mixed_grid_accumulation():
 
 
 def test_at_adds_the_regridded_terms_in_order():
-    # vector terms on grids 64, 128 and 64: the value lives on grid 128 and
-    # equals, bit for bit, the scaled terms regridded there and added in
-    # order
+    # vector terms on grids 64, 128, 64 and 128: the value lives on grid
+    # 128 and equals, bit for bit, the scaled terms regridded there and
+    # added in order; a later term on that grid keeps its Nyquist lines
     big = Grid(128)
     v = VectorField(mode(1.0 + 0.5j, (3, 1)), mode(0.25, (0, 2)))
     w = VectorField(SpectralField.from_modes(big, {(40, -7): 2.0}),
                     SpectralField.from_modes(big, {(5, 50): 1j}))
-    s = ExpSeries({4.0: v, 9.0: w, 1.0: -1.5 * v.dx(0)})
+    nyq = np.zeros((2, 128, 128), dtype=complex)
+    nyq[0, 64, 3], nyq[1, 5, 64] = 0.5, 0.25j
+    s = ExpSeries({4.0: v, 9.0: w, 1.0: -1.5 * v.dx(0),
+                   16.0: SpectralField(big, nyq)})
     for t in (0.0, 0.02):
         got = s.at(t)
         want = None

@@ -87,11 +87,9 @@ def _sqrt_series(const: float, series: ExpSeries) -> ExpSeries:
     guarantees ~1e-6 here).
     """
     root = math.sqrt(const)
-    wide = grid_for(2 * _series_band(series))
     v = (1.0 / const) * series
-    v2 = v.product(v, wide)
-    one = SpectralField.from_modes(wide, {(0, 0): 1.0})
-    out = ExpSeries({0.0: root * one})
+    v2 = v.product(v)
+    out = ExpSeries({0.0: SpectralField.from_modes(Grid(64), {(0, 0): root})})
     out = out + (0.5 * root) * v + (-0.125 * root) * v2
     return out
 
@@ -244,12 +242,15 @@ def _pair_data(lam: int):
 class EvenLevelBuilder:
     """Builds w_p, w_s, F1/P1, F2 of an even level on top of ``prev``.
 
-    ``grid`` is the product grid on which all quadratic interactions are
-    alias-free; long-lived fields are stored band-cropped.  The cutoff of
-    the carrying odd level is identically 1 here: at desk scale the seed
-    shear fills the whole torus, so the plateau requirement chi w_p_prev
-    = w_p_prev forces the trivial cutoff (the strip sets and the real
-    cutoff are still built and measured by the cutoff system).
+    ``grid`` is the product grid: every quadratic interaction must fit on
+    it alias-free.  Each product lies on the grid ``product_sums`` picks
+    for its pairs; a term the product grid does not hold is refused where
+    it is shifted or accumulated.  Long-lived fields are stored
+    band-cropped.  The cutoff of the carrying odd level is identically 1
+    here: at desk scale the seed shear fills the whole torus, so the
+    plateau requirement chi w_p_prev = w_p_prev forces the trivial cutoff
+    (the strip sets and the real cutoff are still built and measured by
+    the cutoff system).
     """
 
     def __init__(self, grid: Grid, schedule: ParamSchedule, m: int,
@@ -289,12 +290,9 @@ class EvenLevelBuilder:
 
         # envelopes G_P = amp_P * phi_P (cutoff of the carry level == 1),
         # each term cropped as it is formed
-        envelopes = []
-        for amp, phi in zip(amps, phis):
-            pairs = amp.amp.pairs_by_rate(ExpSeries({0.0: phi}))
-            envelopes.append(ExpSeries({
-                r: fit_grid(SpectralField(self.grid, c, band=band))
-                for r, c, band in product_sums(pairs, self.grid)}))
+        envelopes = [ExpSeries({r: fit_grid(f) for r, f in product_sums(
+            amp.amp.pairs_by_rate(ExpSeries({0.0: phi})))})
+            for amp, phi in zip(amps, phis)]
 
         state = LevelState(m=self.m, lam=self.lam, C0=C0,
                            w_p=None, R_wp=None)
@@ -315,18 +313,15 @@ class EvenLevelBuilder:
         self._assemble_f1(state, amps, phis, envelopes, C0)
         self._assemble_f2(state)
 
-    def _own_grid(self, band: int) -> Grid:
-        """The smallest grid holding ``band``, capped at the product grid."""
-        return Grid(min(grid_for(band).n, self.grid.n))
-
     # -- w_p: stream form, split, and lift ---------------------------------
     def _assemble_wp(self, state: LevelState, envelopes) -> None:
         lam = float(self.lam)
         # the grid that holds every shifted envelope; when the product grid
         # does not, the shifts there refuse
-        grid = self._own_grid(
+        grid = Grid(min(grid_for(
             max(_series_band(env) for env in envelopes) +
-            max(max(abs(kv[0]), abs(kv[1])) for _, _, kv in self.pairs))
+            max(max(abs(kv[0]), abs(kv[1])) for _, _, kv in self.pairs)).n,
+            self.grid.n))
         stream = ExpSeries()
         main = ExpSeries()
         rem = ExpSeries()
@@ -409,15 +404,16 @@ class EvenLevelBuilder:
 
         The hot loops accumulate straight into per-rate coefficient
         arrays, each grown to the smallest grid that holds what is added
-        to it (``_accumulate``), so no slice-add cuts anything.  Each
+        to it (``_accumulate``), which refuses a term whose band the
+        product grid does not hold, so no slice-add cuts anything.  Each
         envelope pair's products of one rate sum, less those below
         rounding (``pairs_by_rate``: 3 of the 5 sums of two square-root
-        ladders), are summed into one field u on the smallest grid that
-        holds its band, and its modulated integrands are slice-added into
-        the accumulators at their frequency offset: the peak is the
-        accumulators plus one sum's.  Every part is formed on its own
-        grid, and the stored terms are cropped to their bands
-        (``fit_grid``).
+        ladders), are summed into one field u, and its modulated
+        integrands are slice-added into the accumulators at their
+        frequency offset: the peak is the accumulators plus one sum's.
+        Every product, the cross terms', u and the gap and oscillation
+        parts, lies on the grid ``product_sums`` picks for its pairs, and
+        the stored terms are cropped to their bands (``fit_grid``).
         """
         lam = float(self.lam)
         lam2 = lam * lam
@@ -429,10 +425,8 @@ class EvenLevelBuilder:
         # the P1 accumulators are not yet there: their samples on the
         # widest grid set the peak; their rates already carry the common
         # e^{-2 lam^2 t} of the two factors
-        bm, br = _series_band(main), _series_band(rem)
-        for r, dv in chain(_sym_flux(main, rem, self._own_grid(bm + br)),
-                           _sym_flux(rem, None, self._own_grid(2 * br))):
-            self._accumulate(f11_acc, r - 2.0 * lam2, dv.coef)
+        for r, dv in chain(_sym_flux(main, rem), _sym_flux(rem, None)):
+            self._accumulate(f11_acc, r - 2.0 * lam2, dv.coef, dv.band)
             del dv
 
         npairs = len(self.pairs)
@@ -444,11 +438,9 @@ class EvenLevelBuilder:
                     else [(1, 1), (-1, -1)]
                 kdot = float(kba @ kbb)
                 ka, kb = kba[:, None, None], kbb[:, None, None]
-                ea, eb = envelopes[a], envelopes[b]
-                ugrid = self._own_grid(_series_band(ea) + _series_band(eb))
                 # u = sum of g_a g_b over the rate pairs of one sum r
-                for r, c, ub in product_sums(ea.pairs_by_rate(eb), ugrid):
-                    u = SpectralField(ugrid, c, band=ub)
+                for r, u in product_sums(
+                        envelopes[a].pairs_by_rate(envelopes[b])):
                     gu = u.gradient().coef
                     gka = kba[0] * gu[0] + kba[1] * gu[1]
                     gkb = gka if a == b else kbb[0] * gu[0] + kbb[1] * gu[1]
@@ -479,36 +471,28 @@ class EvenLevelBuilder:
                         if pi is not None:
                             self._accumulate(p11_acc, r, pi, u.band, va)
                         self._accumulate(f11_acc, r, fi, u.band, va)
-                    del c, u, parts, pi, fi
+                    del u, parts, pi, fi
 
         # mollification gap and profile-oscillation parts go into the
         # same accumulators (their rates are a subset of the above); both
-        # parts of one rate take one forward transform, on the smallest
-        # grid that holds them
+        # parts of one rate take one forward transform
         scale12 = 2.0 * 2000.0 * C0 * lam2
         for (kf, kbf, kv), amp, phi in zip(self.pairs, amps, phis):
             kb_outer = np.outer(kbf, kbf)
             scaled_amp = (1.0 / math.sqrt(2000.0 * C0)) * amp.amp
-            wide = grid_for(2 * _series_band(scaled_amp))
-            mol_sq = scaled_amp.product(scaled_amp, wide)
+            mol_sq = scaled_amp.product(scaled_amp)
             gap = mol_sq - amp.raw_sq
-            pgrid = self._own_grid(2 * phi.band + max(
-                f.band for f in chain(gap.terms.values(),
-                                      amp.raw_sq.terms.values())))
-            big_phi = phi.regrid(pgrid)
-            phi_sq = big_phi.product(big_phi)
-            del big_phi
+            (_, phi_sq), = product_sums({0: [(phi, phi)]})
             osc = phi_sq - SpectralField.from_modes(
-                pgrid, {(0, 0): phi_sq.mean()})
+                phi_sq.grid, {(0, 0): phi_sq.mean()})
             groups: dict = {}
             for series, weight_field in ((gap, phi_sq), (amp.raw_sq, osc)):
                 for r, f in series.terms.items():
                     groups.setdefault(r, []).append((weight_field, f))
-            for r, c, band in product_sums(groups, pgrid):
-                sc = SpectralField(pgrid, c, band=band)
+            for r, sc in product_sums(groups):
                 dv = (kb_outer * sc).divergence()
-                self._accumulate(f11_acc, r, scale12 * dv.coef)
-                del c, sc, dv
+                self._accumulate(f11_acc, r, scale12 * dv.coef, dv.band)
+                del sc, dv
             del phi_sq, osc, mol_sq, gap, groups
 
         def stored(acc):
@@ -539,21 +523,15 @@ def _series_band(series: ExpSeries) -> int:
     return max((f.band for f in series.terms.values()), default=0)
 
 
-def _sym_flux(a: ExpSeries, b: ExpSeries | None, grid: Grid | None = None):
+def _sym_flux(a: ExpSeries, b: ExpSeries | None):
     """(q, div(f (x) g + g (x) f)) summed over the terms f e^{-rt} of ``a``
     and g e^{-st} of ``b`` with r + s = q; with ``b`` None, over the
     unordered pairs of terms of ``a``, a pair of one term giving
     div(f (x) f).  That is the sum of f (x) g over the ordered pairs, so
     either way the symmetric products of one rate sum are one
-    ``flux_divergences`` key, on ``grid`` or on the smallest grid that
-    resolves them all."""
+    ``flux_divergences`` key, on the grid it picks for them."""
     other = a if b is None else b
-    if grid is None:
-        band = _series_band(a) + _series_band(other)
-        n = max(f.grid.n for f in chain(a.terms.values(),
-                                        other.terms.values()))
-        grid = Grid(max(grid_for(band).n, n))
-    for q, dv in flux_divergences(a.pairs_by_rate(other), grid):
+    for q, dv in flux_divergences(a.pairs_by_rate(other)):
         yield q, dv if b is None else 2.0 * dv
 
 
@@ -636,6 +614,7 @@ def pressure_contract_residual(state: LevelState, grid: Grid) -> dict:
         # finer than the contract's
         w = state.w_p.at(t)
         (_, quad), = flux_divergences({0: [(w, w)]}, grid)
+        quad = quad.regrid(grid)
         del w
         # lhs - F1 - grad P1: each term is measured and let go as it is
         # taken, so at most two fields on the grid are held at a time

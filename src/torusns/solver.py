@@ -137,12 +137,9 @@ def _run(grid, config, state0, rhs) -> Trajectory:
     return traj
 
 
-def _advection(w: VectorField, U: VectorField | None) -> VectorField:
-    """-div(w@w + w@U + U@w), the divergence of the one symmetric product
-    sym(w (x) (w + 2U)), or of w (x) w without U.  The stepper passes no
-    U; the tests check the coupled form against the flux directly."""
-    v = w if U is None else w + 2.0 * U
-    (_, div), = flux_divergences({0: [(w, v)]}, w.grid)
+def _advection(w: VectorField) -> VectorField:
+    """-div(w@w), alias-free on the state's own grid."""
+    (_, div), = flux_divergences({0: [(w, w)]}, w.grid)
     return -div
 
 
@@ -155,12 +152,13 @@ def solve_forced_ns(grid: Grid, config: SolverConfig,
     ``forcing`` is a callable t -> VectorField on ``grid`` (or None).
     Without it this is plain incompressible Navier-Stokes.  Zero data
     with zero forcing stays bitwise zero: all stage fields are exact
-    zero arrays and the heat factor preserves them.  ``tag`` is the caller's name for the run; nothing records it.
+    zero arrays and the heat factor preserves them.  ``tag`` is the
+    caller's name for the run; nothing records it.
     """
     state0 = u0 if u0 is not None else VectorField.zero(grid)
 
     def rhs(t, w):
-        out = _advection(w, None)
+        out = _advection(w)
         if forcing is not None:
             out = out - forcing(t)
         return leray_project(out)

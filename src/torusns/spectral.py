@@ -26,11 +26,12 @@ through them.
 Every product is a sum of products: ``product_sums`` takes pairs of fields
 grouped by key, samples each distinct field once from its own grid, adds
 the products of one key in physical space and makes one forward transform
-per key.  ``product`` and ``outer`` pass one pair; a series product
-(``timefield.ExpSeries.product``) passes one key per rate sum.  Every
-quadratic flux divergence, the solver's advection, F1's and F2's cross
-terms and the pressure contract's, is a ``flux_divergences`` call: the
-only reader of the three planes (t11, t12, t22) of a symmetric product.
+per key, on the grid it alone picks (see its docstring).  ``product`` and
+``outer`` pass one pair, bounded by their own grid; a series product
+(``timefield.ExpSeries.product``) passes one key per rate sum, unbounded.
+Every quadratic flux divergence, the solver's advection, F1's and F2's
+cross terms and the pressure contract's, is a ``flux_divergences`` call,
+which reads the three planes (t11, t12, t22) of a symmetric product.
 ``_runs`` is the one placement rule: the slice blocks that carry the
 coefficients of any grid, at a frequency offset, to another, keeping only
 what lands at |xi|_inf <= n/2 - 1, as a cut does.  Nothing wraps, so a
@@ -38,7 +39,8 @@ shift formed on any grid equals the same shift formed on a finer grid and
 cut back.  ``_pad`` (every embedding and cut) places by it, and
 ``add_shifted`` adds by it for ``SpectralField.shift``, ``weighted_sum``
 and the construction's accumulators.
-``grid_for`` is the one rule for the smallest grid that holds a band.
+``grid_for`` is the one rule for the smallest grid that holds a band;
+``product_sums`` and ``fit_grid`` read it.
 
 A grid size n is a multiple of 4, at least 16, with no prime factor other
 than 2, 3 and 5, so the 3/2 grid m = 3n/2 is even and 5-smooth as well;
@@ -54,9 +56,9 @@ largest coefficient) takes real-to-complex transforms (``irfftn``/
 ``rfftn``, one axis per call), which drop the Nyquist lines; any other
 field, a stack mixing real and complex components included, keeps the
 complex ones.  Every truncation is symmetric: a cut to a smaller grid and
-a 3/2-padded product leave the new Nyquist row and column empty, so the
-product of real fields is real and a solver state that starts real stays
-on the real transforms.
+every product leave the new Nyquist row and column empty (an unpadded
+product's are cleared), so the product of real fields is real and a
+solver state that starts real stays on the real transforms.
 """
 
 from __future__ import annotations
@@ -350,16 +352,16 @@ class SpectralField:
 
     # -- products ---------------------------------------------------------
     def product(self, other: "SpectralField") -> "SpectralField":
-        """Alias-free product (3/2 zero-padding rule, or unpadded when the
-        band bounds prove the result already fits)."""
-        (_, c, band), = product_sums({0: [(self, other)]}, self.grid)
-        return SpectralField(self.grid, c, band=band)
+        """Alias-free product on this field's grid (``product_sums``: 3/2
+        padded, or unpadded when the band bounds prove it fits)."""
+        (_, p), = product_sums({0: [(self, other)]}, self.grid)
+        return p
 
     def outer(self, other: "SpectralField") -> "SpectralField":
         """self tensor other of two vectors, entries (i, j) = self_i other_j,
         alias-free as ``product``."""
-        (_, c, band), = product_sums({0: [(self, other)]}, self.grid, _outer)
-        return SpectralField(self.grid, c, band=band)
+        (_, p), = product_sums({0: [(self, other)]}, self.grid, _outer)
+        return p
 
     def shift(self, s1: int, s2: int) -> "SpectralField":
         """Multiply by exp(i (s1, s2) . x): an exact frequency shift.
@@ -510,30 +512,40 @@ def _physical(f: SpectralField, m: int, symbol=None) -> np.ndarray:
     return p
 
 
-def product_sums(groups: dict, grid: Grid, op=np.multiply):
-    """(key, coef, band) for each key in order, computed as each is taken:
-    the alias-free coefficients on ``grid`` of the sum of op(f, g) over the
-    pairs (f, g) of groups[key], and their band (None when unknown).
+def product_sums(groups: dict, grid: Grid | None = None, op=np.multiply):
+    """(key, field) for each key in order, computed as each is taken: the
+    alias-free sum of op(f, g) over the pairs (f, g) of groups[key], on the
+    grid the call picks, with its band (None when unknown).
 
-    One sampling grid serves the call: ``grid`` itself when the band
-    bounds prove that every pair's product fits, the 3/2 grid otherwise.
-    Each distinct field is sampled once, from its own grid (no larger than
-    ``grid``), and its samples go as soon as its last pair is formed; the
-    terms of a key are added in physical space and take one forward
-    transform.  ``op`` maps two sample stacks to one: ``np.multiply``,
-    ``_outer``, or ``sym_outer``, whose three planes (t11, t12, t22)
-    ``flux_divergences`` reads as a symmetric matrix.  The band of a sum is
-    known when it is unpadded.
+    The one grid rule of products: the smallest grid (``grid_for``) of the
+    largest band sum f.band + g.band over the pairs, never below the finest
+    factor's grid, so every sum fits unpadded and its band is known.
+    ``grid`` bounds it: no sum lies on a finer grid, and when the pairs do
+    not fit there they are formed on its 3/2 grid and truncated, band
+    unknown.  A factor finer than ``grid`` is refused.
+
+    Each distinct field is sampled once, from its own grid, and its samples
+    go as soon as its last pair is formed; the terms of a key are added in
+    physical space and take one forward transform.  Every sum leaves row
+    and column n/2 empty: a truncation cuts them, and an unpadded sum's
+    are cleared, as the exact product has nothing there.  ``op`` maps
+    two sample stacks to one: ``np.multiply``, ``_outer``, or
+    ``sym_outer``, whose three planes (t11, t12, t22) come back as a
+    symmetric matrix, a read-only view in which t21 is t12.
     """
-    n = grid.n
-    if any(f.grid.n > n for pairs in groups.values() for p in pairs
-           for f in p):
-        raise ValueError(f"a factor's grid is finer than the product grid {n}")
-    band = max((f.band + g.band for pairs in groups.values()
-                for f, g in pairs), default=0)
+    pairs = [p for ps in groups.values() for p in ps]
+    finest = max((f.grid.n for p in pairs for f in p), default=0)
+    band = max((f.band + g.band for f, g in pairs), default=0)
+    n = max(grid_for(band).n, finest)
+    if grid is not None:
+        if finest > grid.n:
+            raise ValueError(
+                f"a factor's grid is finer than the product grid {grid.n}")
+        n = min(n, grid.n)
     m = n if band <= n // 2 - 1 else (3 * n) // 2
-    last = {id(f): i for i, pairs in enumerate(groups.values())
-            for p in pairs for f in p}
+    out = Grid(n)
+    last = {id(f): i for i, ps in enumerate(groups.values())
+            for p in ps for f in p}
     samples: dict = {}
 
     def sample(f):
@@ -541,9 +553,9 @@ def product_sums(groups: dict, grid: Grid, op=np.multiply):
             samples[id(f)] = _physical(f, m)
         return samples[id(f)]
 
-    for i, (key, pairs) in enumerate(groups.items()):
+    for i, (key, ps) in enumerate(groups.items()):
         phys = None
-        for f, g in pairs:
+        for f, g in ps:
             term = op(sample(f), sample(g))
             if phys is None:
                 phys = term
@@ -556,8 +568,15 @@ def product_sums(groups: dict, grid: Grid, op=np.multiply):
             del samples[k]  # the samples go before the transform
         c = padded_spectral(phys, n)
         del phys
-        yield key, c, (max(f.band + g.band for f, g in pairs)
-                       if m == n else None)
+        if m == n:
+            c[..., n // 2, :] = c[..., :, n // 2] = 0.0
+        if op is sym_outer:
+            c = np.lib.stride_tricks.as_strided(
+                c, (2, 2) + c.shape[1:], c.strides[:1] + c.strides,
+                writeable=False)
+        yield key, SpectralField(out, c, band=(
+            max(f.band + g.band for f, g in ps) if m == n else None))
+        del c  # the caller's sum is its own to let go
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -578,16 +597,16 @@ def sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return t
 
 
-def flux_divergences(groups: dict, grid: Grid):
+def flux_divergences(groups: dict, grid: Grid | None = None):
     """(key, div t) for each key in order, computed as each is taken: t is
     the sum over the pairs (f, g) of vectors in groups[key] of the
-    symmetric products (f (x) g + g (x) f)/2, alias-free on ``grid`` as in
-    ``product_sums``; a pair (f, f) gives f (x) f.  Only the planes
-    (t11, t12, t22) are transformed, and the divergence reads them as the
-    matrix with t21 = t12."""
-    for key, t, band in product_sums(groups, grid, sym_outer):
-        div = SpectralField(grid, 1j * grid.k1 * t[0:2]
-                            + 1j * grid.k2 * t[1:3], band=band)
+    symmetric products (f (x) g + g (x) f)/2, alias-free as in
+    ``product_sums``, on the grid it picks (no finer than ``grid``); a
+    pair (f, f) gives f (x) f.  Only the planes (t11, t12, t22) are
+    transformed, and the divergence reads them as the matrix with
+    t21 = t12."""
+    for key, t in product_sums(groups, grid, sym_outer):
+        div = t.divergence()
         del t
         yield key, div
 
@@ -725,8 +744,8 @@ def fit_grid(field: SpectralField) -> SpectralField:
     It drops what lies beyond ``band``: when the band was measured
     (``_band_of``), coefficients each below 1e-14 of their component's
     largest; when it was passed on as a bound, only zeros.  It keeps
-    long-lived band-limited fields compact while products are still
-    evaluated on finer grids.
+    long-lived band-limited fields compact; products pick their own
+    grids (``product_sums``).
     """
     grid = grid_for(field.band)
     return field if grid.n >= field.grid.n else field.regrid(grid)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, product_sums, weighted_sum
+from .spectral import product_sums, weighted_sum
 
 #: share of a product's largest rate-sum bound below which a faster sum goes
 NEGLIGIBLE = 1e-16
@@ -99,11 +99,11 @@ class ExpSeries:
         return {q: pairs for q, pairs in out.items()
                 if q <= top or bound[q] >= NEGLIGIBLE * bound[top]}
 
-    def product(self, other: "ExpSeries", grid: Grid) -> "ExpSeries":
-        """Bilinear product on ``grid``; rates add term by term, and the
-        products of one rate sum are added before one forward transform."""
-        return ExpSeries({q: SpectralField(grid, c, band=band) for q, c, band
-                          in product_sums(self.pairs_by_rate(other), grid)})
+    def product(self, other: "ExpSeries") -> "ExpSeries":
+        """Bilinear product; rates add term by term, and the products of one
+        rate sum are added before one forward transform, on the grid that
+        ``product_sums`` picks for them."""
+        return ExpSeries(dict(product_sums(self.pairs_by_rate(other))))
 
     def scale_rates(self, extra: float) -> "ExpSeries":
         """Multiply the whole series by exp(-extra * t)."""

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from torusns import construction as cons
+from torusns import construction as cons, spectral, timefield
 from torusns.schedule import ParamSchedule, toy_schedule
 from torusns.spectral import Grid, SpectralField, grid_for, product_sums
 
@@ -146,17 +146,36 @@ def test_dropped_envelope_sums_lie_below_rounding():
                 for r2, f2 in eb.terms.items():
                     full.setdefault(r1 + r2, []).append((f1, f2))
             kept = ea.pairs_by_rate(eb)
-            ugrid = builder._own_grid(
-                max(g.band for g in ea.terms.values()) +
-                max(g.band for g in eb.terms.values()))
-            top = {q: np.abs(c).max()
-                   for q, c, _ in product_sums(full, ugrid)}
+            top = {q: np.abs(f.coef).max() for q, f in product_sums(full)}
             dropped = [q for q in full if q not in kept]
             dropped_any = dropped_any or bool(dropped)
             largest = max(top[q] for q in kept)
             for q in dropped:
                 assert top[q] <= 1e-16 * largest, (a, q, top[q] / largest)
     assert dropped_any
+
+
+@pytest.mark.parametrize("n, band", [(256, 8), (512, 16)])
+def test_no_level_build_product_is_padded(monkeypatch, n, band):
+    # lam = (5, 10): every product the build forms picks a grid no finer
+    # than the product grid, where it fits unpadded, so bounding it by
+    # the product grid would change nothing
+    out = []
+    sums = spectral.product_sums
+
+    def recorded(*a, **k):
+        for key, f in sums(*a, **k):
+            out.append((f.grid.n, f._band))
+            yield key, f
+
+    for module in (spectral, timefield, cons):
+        monkeypatch.setattr(module, "product_sums", recorded)
+    grid = Grid(n)
+    sched = ParamSchedule((5, 10), (5, 5))
+    seed = cons.seed_level(grid, sched)
+    cons.EvenLevelBuilder(grid, sched, 2, seed, profile_band=band).build()
+    assert len(out) > 40
+    assert all(g <= n and b is not None for g, b in out)
 
 
 def test_wp_shifts_run_on_the_grid_that_holds_them(monkeypatch):

@@ -235,19 +235,24 @@ def test_fit_grid_vector_and_matrix(rng):
             assert np.abs(got.coef - want.coef).max() == 0.0
 
 
-def _smallest_grid_oracle(band):
-    n = 64
-    while True:
-        factors = [p for p in range(2, n + 1) if n % p == 0
-                   and all(p % q for q in range(2, p))]
-        if n % 4 == 0 and set(factors) <= {2, 3, 5} and band <= n // 2 - 1:
-            return n
-        n += 1
+def _smallest_grids_oracle(bands):
+    """The smallest admissible grid from 64 up for each of the ascending
+    ``bands``, in one upward sweep that decides each n once, by trial
+    division."""
+    out, n, admissible = [], 63, False
+    for band in bands:
+        while not (admissible and band <= n // 2 - 1):
+            n += 1
+            factors = [p for p in range(2, n + 1) if n % p == 0
+                       and all(p % q for q in range(2, p))]
+            admissible = n % 4 == 0 and set(factors) <= {2, 3, 5}
+        out.append(n)
+    return out
 
 
 def test_grid_for_is_the_smallest_five_smooth_grid():
-    assert [grid_for(b).n for b in range(601)] == [
-        _smallest_grid_oracle(b) for b in range(601)]
+    assert [grid_for(b).n for b in range(601)] == _smallest_grids_oracle(
+        range(601))
 
 
 @pytest.mark.parametrize("n", [14, 28, 90, 98])
@@ -418,18 +423,16 @@ def test_product_sums_equal_the_sums_of_pairwise_products(
     h = _factor(rng, kind, real, 9, Grid(32))
     groups = {"fg+hg": [(f, g), (h, g)], "ff": [(f, f)], "hf+hh": [(h, f),
                                                                    (h, h)]}
-    got = {key: c for key, c, _ in product_sums(groups, GRID, op)}
+    got = dict(product_sums(groups, GRID, op))
     assert list(got) == list(groups)
     for key, pairs in groups.items():
         want = _pairwise(*pairs[0], op)
         for pair in pairs[1:]:
             want = want + _pairwise(*pair, op)
-        want = want.coef
-        if op is sym_outer:  # the planes (t11, t12, t22)
-            want = want[(0, 0, 1), (0, 1, 1)]
+        want = want.coef  # for sym_outer, t21 is read as t12
         scale = np.abs(want).max()
-        assert got[key].shape == want.shape
-        assert np.abs(got[key] - want).max() <= 1e-14 * scale
+        assert got[key].grid == GRID and got[key].coef.shape == want.shape
+        assert np.abs(got[key].coef - want).max() <= 1e-14 * scale
 
 
 def test_product_sums_sample_each_field_once_and_transform_each_key_once(
@@ -446,6 +449,58 @@ def test_product_sums_sample_each_field_once_and_transform_each_key_once(
     assert len(sampled) == 3 and {id(x) for x in sampled} == {
         id(f), id(g), id(h)}
     assert len(forward) == len(out) == 3
+
+
+def test_product_sums_pick_the_grid_of_the_widest_pair(rng):
+    # the pair (f, g) has band sum 30 + 40 = 70, held by 144; the sums lie
+    # there unpadded, their bands known, and equal the product formed on
+    # a finer grid and cut back
+    f = random_field(rng, band=30)
+    g = random_field(rng, grid=Grid(96), band=40)
+    assert f.band + g.band == 70 and grid_for(70) == Grid(144)
+    out = dict(product_sums({"fg": [(f, g)], "ff": [(f, f)]}))
+    assert [s.grid for s in out.values()] == [Grid(144)] * 2
+    assert out["fg"].band == 70 and out["ff"].band == 2 * f.band
+    big = Grid(288)
+    want = f.regrid(big).product(g.regrid(big)).coef
+    got = out["fg"].coef
+    assert np.abs(got - _corner_pad(want, 144)).max() <= \
+        1e-14 * np.abs(want).max()
+    # a bound the pairs exceed: the sums lie on it, 3/2-padded, band unknown
+    (_, cut), = product_sums({0: [(f, g)]}, Grid(128))
+    assert cut.grid == Grid(128) and cut._band is None
+    assert np.abs(cut.coef - _corner_pad(want, 128)).max() <= \
+        1e-14 * np.abs(want).max()
+
+
+def test_product_sums_never_go_below_the_finest_factor_grid(rng):
+    # band sum 2 + 5 fits 64, but g lives on 180, so the sum does too
+    f = random_field(rng, band=2)
+    g = random_field(rng, grid=Grid(180), band=5)
+    (_, p), = product_sums({0: [(f, g)]})
+    assert p.grid == Grid(180) and p.band == f.band + g.band
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_unpadded_product_sums_leave_the_nyquist_lines_empty(rng, real):
+    # band 15 + 15 fits GRID unpadded; what the transform leaves on row and
+    # column n/2 is aliasing and rounding, and is cleared
+    f, g = (random_field(rng, band=15, real=real) for _ in range(2))
+    v = VectorField(f, g)
+    for p in (f.product(g), v.outer(v), dict(product_sums(
+            {0: [(v, VectorField(g, f))]}, op=sym_outer))[0]):
+        assert p.grid == GRID and p.band is not None
+        assert not p.coef[..., 32, :].any() and not p.coef[..., :, 32].any()
+
+
+def test_product_and_outer_stay_on_the_field_grid(rng):
+    # the rule alone would take 64 for band 10; the bound is self.grid
+    f = random_field(rng, grid=Grid(128), band=5)
+    g = random_field(rng, band=5)
+    v = VectorField(f, f)
+    for p in (f.product(g), f.product(f), v.outer(v)):
+        assert p.grid == Grid(128) and p.band == 10
+    assert dict(product_sums({0: [(f, g)]}))[0].grid == Grid(128)
 
 
 def test_product_sums_refuse_a_factor_finer_than_the_product_grid(rng):

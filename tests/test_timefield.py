@@ -5,7 +5,8 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from torusns.spectral import Grid, SpectralField, VectorField
+from torusns.spectral import (Grid, SpectralField, VectorField,
+                              product_sums)
 from torusns.timefield import ExpSeries, mollify_time, time_kernel_factor
 
 GRID = Grid(64)
@@ -35,7 +36,7 @@ def test_dt_is_exact_derivative():
 def test_product_adds_rates():
     a = ExpSeries({1.0: mode(1.0)})
     b = ExpSeries({2.0: mode(1.0)})
-    c = a.product(b, GRID)
+    c = a.product(b)
     assert list(c.terms) == [3.0]
 
 
@@ -43,7 +44,7 @@ def test_product_leaves_out_a_faster_sum_below_rounding():
     # ||mode(a)||_1 = 2|a|: rate 0 bounds 4, rate 3 bounds 8e-9 and rate 6
     # 4e-18, below 1e-16 of the top at a larger rate
     a = ExpSeries({0.0: mode(1.0), 3.0: mode(1e-9, (2, 0))})
-    c = a.product(a, GRID)
+    c = a.product(a)
     assert sorted(c.terms) == [0.0, 3.0]
 
 
@@ -51,10 +52,24 @@ def test_product_keeps_a_tiny_sum_slower_than_the_top():
     # the same ladder with the large term at rate 5: the 4e-18 sum at rate
     # 0 decays slower than the top and is kept
     a = ExpSeries({5.0: mode(1.0), 0.0: mode(1e-9, (2, 0))})
-    c = a.product(a, GRID)
+    c = a.product(a)
     assert sorted(c.terms) == [0.0, 5.0, 10.0]
     want = mode(1e-9, (2, 0)).product(mode(1e-9, (2, 0)))
     assert np.array_equal(c.terms[0.0].coef, want.coef)
+
+
+def test_a_dropped_sum_does_not_widen_the_product_grid():
+    # band-30 modes: the rate-3 sum has band 31, held by GRID; the rate-6
+    # sum (band 60, bound 4e-18 of the top's 4) would need 128, and is
+    # left out before the grid is picked
+    a = ExpSeries({0.0: mode(1.0), 3.0: mode(1e-9, (30, 0))})
+    assert sorted(a.pairs_by_rate(a)) == [0.0, 3.0]
+    c = a.product(a)
+    assert sorted(c.terms) == [0.0, 3.0]
+    assert all(f.grid == GRID for f in c.terms.values())
+    assert c.terms[3.0].band == 31
+    wide = a.terms[3.0]
+    assert dict(product_sums({6.0: [(wide, wide)]}))[6.0].grid == Grid(128)
 
 
 def test_product_threshold_is_one_part_in_1e16():
@@ -62,8 +77,8 @@ def test_product_threshold_is_one_part_in_1e16():
     a = ExpSeries({0.0: mode(1.0)})
     above = ExpSeries({0.0: mode(1.0), 2.0: mode(1.01e-16, (3, 0))})
     below = ExpSeries({0.0: mode(1.0), 2.0: mode(0.99e-16, (3, 0))})
-    assert sorted(a.product(above, GRID).terms) == [0.0, 2.0]
-    assert sorted(a.product(below, GRID).terms) == [0.0]
+    assert sorted(a.product(above).terms) == [0.0, 2.0]
+    assert sorted(a.product(below).terms) == [0.0]
 
 
 def test_product_skips_a_pair_with_a_zero_factor():
@@ -73,8 +88,8 @@ def test_product_skips_a_pair_with_a_zero_factor():
     pairs = a.pairs_by_rate(b)
     assert sorted(pairs) == [0.0, 1.0]  # rate 2 pairs only the zero term
     assert all(f is not zero for p in pairs.values() for f, _ in p)
-    got = a.product(b, GRID)
-    want = ExpSeries({0.0: mode(1.0)}).product(b, GRID)
+    got = a.product(b)
+    want = ExpSeries({0.0: mode(1.0)}).product(b)
     assert sorted(got.terms) == sorted(want.terms)
     for r, f in want.terms.items():
         assert np.array_equal(got.terms[r].coef, f.coef)
@@ -84,8 +99,8 @@ def test_product_of_zero_factors_is_empty():
     zero = SpectralField.zero(GRID)
     a = ExpSeries({0.0: zero, 3.0: zero})
     b = ExpSeries({0.0: mode(1.0), 3.0: mode(0.5)})
-    assert a.product(b, GRID).terms == {}
-    assert b.product(a, GRID).terms == {}
+    assert a.product(b).terms == {}
+    assert b.product(a).terms == {}
 
 
 def test_scale_rates_shifts_all_rates():

@@ -40,15 +40,6 @@ def _base_config(args) -> driver.RunConfig:
     return config
 
 
-def _build_through(config: driver.RunConfig, m: int) -> driver.BranchState:
-    if m < 1:
-        raise ValueError(f"level {m} does not exist; levels start at 1")
-    branch = driver.new_branch(config)
-    for level in range(1, m + 1):
-        driver.run_level(branch, level)
-    return branch
-
-
 def _finish(branch: driver.BranchState, config: driver.RunConfig,
             entries=None) -> int:
     """Write the ledger, print ``entries`` (default: all of it) and exit
@@ -93,7 +84,7 @@ def cmd_verify_geometry(args) -> int:
 
 def cmd_build_level(args) -> int:
     config = _base_config(args)
-    branch = _build_through(config, args.m)
+    branch = driver.build_levels(config, args.m)
     state = branch.levels[args.m]
     print(f"level {args.m}: lam={state.lam}, "
           f"sup w_p(0)={state.w_p.at(0.0).sup_norm():.4e}")
@@ -105,7 +96,7 @@ def cmd_check_identities(args) -> int:
     if args.m < 2:
         raise ValueError("the seed level has no construction identities")
     config = _base_config(args)
-    branch = _build_through(config, args.m)
+    branch = driver.build_levels(config, args.m)
     ref = f"level-{args.m}"
     return _finish(branch, config, [
         e for e in branch.ledger

@@ -186,24 +186,14 @@ class LevelState:
     def parts(self, t: float, grid: Grid) -> dict:
         """The computed parts of w_m(t) on ``grid``, by name: ``w_p``,
         ``w_s`` (when the level has one) and ``w_L`` (when it has a
-        forcing)."""
+        forcing), each exact at t.  The corrector enters through its
+        linear part w_L alone: its nonlinear remainder is not solved."""
         out = {"w_p": self.w_p.at(t).regrid(grid)}
         if self.w_s is not None:
             out["w_s"] = self.w_s.at(t).regrid(grid)
         if self.F1 is not None:
             out["w_L"], = self.w_L([t], grid)
         return out
-
-    def total_w(self, t: float, grid: Grid) -> VectorField:
-        """w_m(t) = (w_p + w_s + w_L)(t) on the requested grid.
-
-        Every part is evaluated exactly at t; nothing is extrapolated.
-        The corrector enters through its linear part w_L alone: its
-        nonlinear remainder is not solved (the driver's
-        ``corrector/window`` entry says so).
-        """
-        w_p, *rest = self.parts(t, grid).values()
-        return sum(rest, w_p)
 
 
 def seed_level(grid: Grid, schedule: ParamSchedule) -> LevelState:
@@ -533,14 +523,6 @@ def _sym_flux(a: ExpSeries, b: ExpSeries | None):
     other = a if b is None else b
     for q, dv in flux_divergences(a.pairs_by_rate(other)):
         yield q, dv if b is None else 2.0 * dv
-
-
-def build_level(grid: Grid, schedule: ParamSchedule, m: int,
-                prev: LevelState | None = None, **kw) -> LevelState:
-    """Level m of the alternating iteration (seed for m=1)."""
-    if m == 1:
-        return seed_level(grid, schedule)
-    return EvenLevelBuilder(grid, schedule, m, prev, **kw).build()
 
 
 # ---------------------------------------------------------------------------

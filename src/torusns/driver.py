@@ -87,7 +87,8 @@ class BranchState:
         out = VectorField.zero(grid)
         for m, state in self.levels.items():
             if m % 2 == want:
-                out = out + state.total_w(t, grid)
+                w_p, *rest = state.parts(t, grid).values()
+                out = out + sum(rest, w_p)
         return out
 
 
@@ -117,46 +118,41 @@ def new_branch(config: RunConfig) -> BranchState:
 def run_level(branch: BranchState, m: int) -> "cons.LevelState":
     """Build level m, verify its identities and measure the corrector's
     linear part over its window; its nonlinear remainder is not solved."""
-    config = branch.config
     grid = branch.grid
     sched = branch.schedule
     if m == 1:
         state = cons.seed_level(grid, sched)
-        branch.levels[1] = state
         branch.record("seed-shear", "level-1", float(state.lam), None, "pass")
-        _level_norm_reports(branch, state)
-        return state
-    prev = branch.levels.get(m - 1)
-    if prev is None:
-        raise ValueError(f"level {m - 1} must be built before level {m}")
-    state = cons.build_level(grid, sched, m, prev,
-                             profile_band=config.profile_band)
+    else:
+        prev = branch.levels.get(m - 1)
+        if prev is None:
+            raise ValueError(f"level {m - 1} must be built before level {m}")
+        state = cons.EvenLevelBuilder(
+            grid, sched, m, prev,
+            profile_band=branch.config.profile_band).build()
+        checks = {
+            "divergence-free": cons.check_divergence(state.w_p),
+            "main-plus-remainder": cons.check_split(state),
+            "cancellation-flow-two-forms": cons.check_ws_forms(state),
+            "initial-data-match": cons.check_initial_match(state, prev),
+            "lift-divergence": cons.check_lift(state),
+        }
+        contract = cons.pressure_contract_residual(state, grid)
+        checks["pressure-absorption"] = max(contract.values())
+        failed = {k: v for k, v in checks.items() if v > IDENTITY_TOL}
+        for k, v in checks.items():
+            branch.record(f"identity/{k}", f"level-{m}", v, IDENTITY_TOL,
+                          "pass" if v <= IDENTITY_TOL else "fail")
+        if failed:
+            raise RuntimeError(
+                f"level {m} identity checks failed: "
+                + ", ".join(f"{k}={v:.3e}" for k, v in failed.items()))
 
-    checks = {
-        "divergence-free": cons.check_divergence(state.w_p),
-        "main-plus-remainder": cons.check_split(state),
-        "cancellation-flow-two-forms": cons.check_ws_forms(state),
-        "initial-data-match": cons.check_initial_match(state, prev),
-        "lift-divergence": cons.check_lift(state),
-    }
-    contract = cons.pressure_contract_residual(state, grid)
-    checks["pressure-absorption"] = max(contract.values())
-    failed = {k: v for k, v in checks.items() if v > IDENTITY_TOL}
-    for k, v in checks.items():
-        branch.record(f"identity/{k}", f"level-{m}", v, IDENTITY_TOL,
-                      "pass" if v <= IDENTITY_TOL else "fail")
-    if failed:
-        raise RuntimeError(
-            f"level {m} identity checks failed: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in failed.items()))
-
-    cut = build_cutoffs(sched, m // 2)
-    fractions = cut.area_fractions()
-    branch.record("cutoff/area-fraction", f"level-{m}",
-                  fractions["fattened"], fractions["bound"],
-                  "pass" if fractions["within_bound"] else "fail")
-
-    _corrector_reports(branch, state, m)
+        fractions = build_cutoffs(sched, m // 2).area_fractions()
+        branch.record("cutoff/area-fraction", f"level-{m}",
+                      fractions["fattened"], fractions["bound"],
+                      "pass" if fractions["within_bound"] else "fail")
+        _corrector_reports(branch, state, m)
     branch.levels[m] = state
     _level_norm_reports(branch, state)
     return state
@@ -260,11 +256,19 @@ def _level_norm_reports(branch: BranchState, state) -> None:
                   _sampled_sup([state.w_p.at(0.0)]), None, "report-only")
 
 
+def build_levels(config: RunConfig, m: int) -> BranchState:
+    """A new branch with levels 1..m built, in order, by ``run_level``."""
+    branch = new_branch(config)
+    if m < 1:
+        raise ValueError(f"level {m} does not exist; levels start at 1")
+    for level in range(1, m + 1):
+        run_level(branch, level)
+    return branch
+
+
 def build_solution_pair(config: RunConfig) -> BranchState:
     """Build all levels through config.levels and verify branch algebra."""
-    branch = new_branch(config)
-    for m in range(1, config.levels + 1):
-        run_level(branch, m)
+    branch = build_levels(config, config.levels)
     tail = config.levels
     # initial-data telescoping: the branch gap at t=0 is the single
     # unmatched high-frequency tail term
@@ -288,11 +292,12 @@ def separation_report(branch: BranchState) -> dict:
     (``LevelState.parts``), so the corrector enters through its linear
     part w_L alone (``"part": "linear-duhamel"``).  ``parts`` holds each
     part's B^{-1}_{inf,inf} norm at t* over M0: ``seed`` for level 1, and
-    ``w_p(m)``, ``w_s(m)``, ``w_L(m)`` for level m.
+    ``w_p(m)``, ``w_s(m)``, ``w_L(m)`` for level m.  The ratio is
+    assertable only when level 2 was built and its decay e^{-lam_2^2 t*}
+    is below 1e-6; otherwise the entry is report-only.
     """
-    sched = branch.schedule
-    lam1 = float(sched.lam(1))
-    lam2 = float(sched.lam(2)) if sched.levels >= 2 else lam1
+    lam1 = float(branch.schedule.lam(1))
+    lam2 = float(branch.levels[2].lam) if 2 in branch.levels else lam1
     t_star = 1.0 / lam1 ** 2
     grid = branch.grid
     seed = branch.levels[1]

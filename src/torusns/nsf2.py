@@ -4,10 +4,12 @@ Layout (little endian):
     magic   4 bytes  b"NSF2"
     version u32      1
     n       u32      grid size
-    ncomp   u8       number of components
+    ncomp   u8       number of components: 1 scalar, 2 vector, 4 matrix
     time    f64      snapshot time
     data    ncomp * n * n complex coefficients, each stored as two f64
-            (re, im), in standard DFT order, row-major.
+            (re, im), in standard DFT order: the field's stacked
+            coefficients row-major, so a vector is u1 then u2 and a
+            matrix a11, a12, a21, a22.
 
 Writes are atomic (temp file + rename); ``atomic_write`` is the one
 writer, which the run ledger uses too.
@@ -32,22 +34,21 @@ __all__ = ["write_nsf2", "read_nsf2", "write_vector", "read_vector",
            "atomic_write"]
 
 
-def write_nsf2(path: str, fields: list[SpectralField], time: float) -> None:
-    if not fields:
-        raise ValueError("need at least one component")
-    n = fields[0].grid.n
-    for f in fields:
-        if f.grid.n != n:
-            raise ValueError("components must share a grid")
-    header = MAGIC + struct.pack("<IIBd", VERSION, n, len(fields), float(time))
-    payload = b"".join(
-        np.ascontiguousarray(f.coef.astype("<c16")).tobytes() for f in fields
-    )
+#: component shape of the field kind each component count stores
+_SHAPES = {1: (), 2: (2,), 4: (2, 2)}
+
+
+def write_nsf2(path: str, field: SpectralField, time: float) -> None:
+    """Write one scalar, vector or matrix field at ``time``."""
+    header = MAGIC + struct.pack("<IIBd", VERSION, field.grid.n,
+                                 field.coef[..., 0, 0].size, float(time))
+    payload = np.ascontiguousarray(field.coef.astype("<c16")).tobytes()
     atomic_write(path, header + payload)
 
 
 def read_nsf2(path: str):
-    """Returns (fields, time)."""
+    """Returns (field, time): a scalar, vector or matrix field, as the
+    header's component count gives."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -57,28 +58,26 @@ def read_nsf2(path: str):
     version, n, ncomp, time = struct.unpack("<IIBd", raw[4:HEADER_BYTES])
     if version != VERSION:
         raise ValueError(f"unsupported NSF2 version {version}")
+    if ncomp not in _SHAPES:
+        raise ValueError(f"no field kind has {ncomp} components")
     grid = Grid(n)
-    need = HEADER_BYTES + ncomp * n * n * 16
-    if len(raw) != need:
+    if len(raw) != HEADER_BYTES + ncomp * n * n * 16:
         raise ValueError("truncated or oversized NSF2 payload")
-    out = []
-    off = HEADER_BYTES
-    for _ in range(ncomp):
-        arr = np.frombuffer(raw, dtype="<c16", count=n * n, offset=off)
-        out.append(SpectralField(grid, arr.reshape(n, n).astype(np.complex128)))
-        off += n * n * 16
-    return out, time
+    arr = np.frombuffer(raw, dtype="<c16", offset=HEADER_BYTES)
+    return SpectralField(grid, arr.reshape(_SHAPES[ncomp] + (n, n))
+                         .astype(np.complex128)), time
 
 
 def write_vector(path: str, v: VectorField, time: float) -> None:
-    write_nsf2(path, [v.u1, v.u2], time)
+    write_nsf2(path, v, time)
 
 
 def read_vector(path: str):
-    fields, time = read_nsf2(path)
-    if len(fields) != 2:
-        raise ValueError(f"expected 2 components, found {len(fields)}")
-    return VectorField(fields[0], fields[1]), time
+    field, time = read_nsf2(path)
+    if field.coef.ndim != 3:
+        raise ValueError(
+            f"expected 2 components, found {field.coef[..., 0, 0].size}")
+    return field, time
 
 
 def atomic_write(path: str, data: bytes) -> None:

@@ -10,24 +10,26 @@ away from a small neighbourhood of them.  Their area fractions are
 counted on a sample grid whose membership comes from exact integer
 residues of mu k . x; only the area is a Riemann sum.
 
-Two realizations of ``phi`` coexist:
+One frozen type, ``ConcentrationProfile``, holds ``phi`` as a finite
+cosine series, in two realizations:
 
-* the *ideal* profile — a sharply mollified indicator held as a long 1D
-  cosine series, satisfying the support and normalization constraints to
-  near machine precision; and
-* a *band-limited* realization for a given frequency budget, obtained by
-  Gaussian-tapering the cosine series so that every retained coefficient
-  beyond the budget is below 1e-13.  Tapering necessarily widens the
-  bump (a function cannot be confined to width ~1/100 with only a few
-  dozen modes); the widened support is reported, and the quadratic
-  normalization ``mean(phi^2)`` is re-imposed exactly so that every
-  downstream cancellation identity survives the truncation.
+* ``ConcentrationProfile()`` is the *ideal* profile: a sharply mollified
+  indicator held as a long series, satisfying the support and
+  normalization constraints to near machine precision; and
+* ``realize(band)`` returns the *band-limited* one for a frequency
+  budget, obtained by Gaussian-tapering the series so that every
+  coefficient beyond the budget is below 1e-13.  Tapering necessarily
+  widens the bump (a function cannot be confined to width ~1/100 with
+  only a few dozen modes); the mass it removes is reported (``tail``),
+  and the quadratic normalization ``mean(phi^2)`` is re-imposed exactly
+  so that every downstream cancellation identity survives the
+  truncation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial, reduce
 
 import numpy as np
@@ -76,13 +78,19 @@ def _eval_cosine(coeffs: np.ndarray, s) -> np.ndarray:
     return out + res.reshape(s.shape)
 
 
+@dataclass(frozen=True)
 class ConcentrationProfile:
-    """Smooth even periodic bump with unit L^2 mass: the ideal profile of
-    HALF_WIDTH, SIGMA and RESOLUTION."""
+    """Smooth even periodic bump with unit L^2 mass, held as its cosine
+    coefficients (``coeffs[m]``, m = 0..band).  The default is the ideal
+    profile of HALF_WIDTH, SIGMA and RESOLUTION; ``tail`` is the relative
+    L^2 mass a realization removed from it."""
+
+    coeffs: np.ndarray = dc_field(default_factory=_cosine_coeffs)
+    tail: float = 0.0
 
     @property
-    def coeffs(self) -> np.ndarray:
-        return _cosine_coeffs()
+    def band(self) -> int:
+        return len(self.coeffs) - 1
 
     def __call__(self, s) -> np.ndarray:
         return _eval_cosine(self.coeffs, s)
@@ -94,6 +102,11 @@ class ConcentrationProfile:
         return 2.0 * math.pi * float(c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2))
 
     @property
+    def mean_square(self) -> float:
+        """Mean of phi^2 over the circle (the 0-mode of phi^2)."""
+        return self.l2_mass / (2.0 * math.pi)
+
+    @property
     def support_half_width(self) -> float:
         """Half-width outside which |phi| stays below 1e-10."""
         s = np.linspace(0.0, math.pi, 4096)
@@ -101,13 +114,13 @@ class ConcentrationProfile:
         idx = np.nonzero(v > 1e-10)[0]
         return float(s[idx[-1]]) if len(idx) else 0.0
 
-    def realize(self, band: int) -> "RealizedProfile":
+    def realize(self, band: int) -> "ConcentrationProfile":
         """Band-limited realization with all mass inside |m| <= band.
 
         The cosine series is multiplied by a Gaussian taper chosen so the
         discarded coefficients are below 1e-13 of the peak, then
-        renormalized to unit L^2 mass.  The reported ``tail`` is the
-        relative L^2 mass removed from the ideal profile.
+        renormalized to unit L^2 mass.  The realization's ``tail`` is the
+        relative L^2 mass removed from this profile.
         """
         if band < 8:
             raise ValueError("band must be at least 8")
@@ -120,29 +133,7 @@ class ConcentrationProfile:
         mass_kept = kept[0] ** 2 + 2.0 * np.sum(kept[1:] ** 2)
         tail = 1.0 - mass_kept / mass_ideal
         kept /= math.sqrt(2.0 * math.pi * mass_kept)
-        return RealizedProfile(band=band, coeffs=kept, tail=float(tail))
-
-
-@dataclass(frozen=True)
-class RealizedProfile:
-    """Finitely many cosine modes of a concentration bump, unit L^2 mass."""
-
-    band: int
-    coeffs: np.ndarray
-    tail: float
-
-    def __call__(self, s) -> np.ndarray:
-        return _eval_cosine(self.coeffs, s)
-
-    @property
-    def l2_mass(self) -> float:
-        c = self.coeffs
-        return 2.0 * math.pi * float(c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2))
-
-    @property
-    def mean_square(self) -> float:
-        """Mean of phi^2 over the circle (the 0-mode of phi^2)."""
-        return self.l2_mass / (2.0 * math.pi)
+        return ConcentrationProfile(coeffs=kept, tail=float(tail))
 
     def field(self, grid: Grid, k: tuple, mu: int) -> SpectralField:
         """phi(mu k . x) as a real band-tracked field on ``grid``.

@@ -39,14 +39,11 @@ class SolverConfig:
     ``check_cfl`` the CFL condition dt <= CFL_SAFETY * h / max|u| is
     re-checked every step, max|u| bounded by the state's coefficient sum,
     and a violation aborts with a diagnostic rather than silently
-    adapting; without it no CFL check runs.  ``max_steps`` caps runs
-    whose step cannot reach the horizon at desk scale; such runs return
-    partial trajectories marked accordingly.
+    adapting; without it no CFL check runs.
     """
 
     dt: float = 1e-3
     t_end: float = 1.0
-    max_steps: int = 100000
     store_every: int = 1
     check_cfl: bool = True
 
@@ -59,8 +56,7 @@ class Trajectory:
     step).  At every accepted step, at ``step_times``, ``sup_bounds``
     records the sup bound the stepper acts on (the sum of coefficient
     magnitudes, which its CFL and blow-up tests read).  ``status`` is
-    ``completed`` or one of the abort markers (``max-steps``, ``cfl``,
-    ``blow-up``).
+    ``completed`` or one of the abort markers (``cfl``, ``blow-up``).
     """
 
     grid: Grid
@@ -114,10 +110,6 @@ def _run(grid, config, state0, rhs) -> Trajectory:
     step = 0
     n_steps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
     while step < n_steps:
-        if step >= config.max_steps:
-            traj.status = "max-steps"
-            traj.diagnostics["reached_t"] = t
-            break
         if config.check_cfl and dt > CFL_SAFETY * h / max(sup, 1e-300):
             traj.status = "cfl"
             traj.diagnostics["cfl_bound"] = CFL_SAFETY * h / sup

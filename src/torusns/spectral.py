@@ -247,8 +247,8 @@ class SpectralField:
     @property
     def real_samples(self) -> bool:
         """True when the samples are real on every grid m >= n, to 1e-12 of
-        each component's largest coefficient: Hermitian coefficients
-        (``is_real``) and a Nyquist row and column no larger than that,
+        each component's largest coefficient: Hermitian coefficients,
+        c[-xi] = conj(c[xi]), and a Nyquist row and column no larger than that,
         which the real transforms drop (``_pad`` would embed them on one
         side only)."""
         if self._real is None:
@@ -264,11 +264,6 @@ class SpectralField:
 
     def mean(self) -> complex:
         return complex(self.coef[0, 0])
-
-    def is_real(self, tol: float = _REAL_TOL) -> bool:
-        """Check Hermitian symmetry c[-xi] = conj(c[xi]) of every component
-        to tol of its own largest coefficient."""
-        return _hermitian(self.coef, tol * _largest(self.coef))
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):

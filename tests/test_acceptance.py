@@ -124,8 +124,9 @@ class TestTwoBranchPipeline:
         times = state.diagnostics["corrector_times"]
         t_end = times[-1]
         sched = ParamSchedule((25, 75), (5, 5))
-        low = cons.build_level(grid, sched, 2, cons.seed_level(grid, sched),
-                               profile_band=branch.config.profile_band)
+        low = cons.EvenLevelBuilder(
+            grid, sched, 2, cons.seed_level(grid, sched),
+            profile_band=branch.config.profile_band).build()
         low_times, low_norm = driver.leading_corrector_norm(low, grid, t_end)
 
         def wp_norm(level, samples):

@@ -71,18 +71,21 @@ def test_schedule_shorter_than_levels_rejected():
         driver.RunConfig(levels=4).schedule()
 
 
-def test_single_level_branchES_and_separation(tmp_path):
-    # levels=1: the even branch is empty, the gap IS the seed, ratio 1
+def test_single_level_branches_and_separation(tmp_path):
+    # levels=1: the even branch is empty, the gap IS the seed, ratio 1;
+    # with no level 2 there is no fast branch to decay, so the ratio
+    # asserts nothing
     cfg = one_level_config(tmp_path)
     branch = driver.build_solution_pair(cfg)
     report = driver.separation_report(branch)
     t_star = report["t_star"]
-    seed = branch.levels[1]
     gap = branch.partial_sum("odd", t_star, branch.grid)
     direct = besov_norm(gap, -1.0, np.inf, np.inf)
     assert abs(report["gap_norm"] - direct) <= 1e-12 * max(direct, 1.0)
     assert abs(report["M0"] - direct) <= 1e-10 * max(direct, 1.0)
-    assert not report["assertable"] or report["ratio"] >= 0.5
+    assert not report["assertable"]
+    entry, = [e for e in branch.ledger if e["name"] == "separation/gap-ratio"]
+    assert entry["status"] == "report-only"
 
 
 def _duhamel_modes(modes: dict, r: float, t: float) -> dict:

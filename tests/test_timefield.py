@@ -157,7 +157,7 @@ def test_mollify_time_preserves_rates_and_reality():
     m = mollify_time(s, 1e-4)
     assert sorted(m.terms) == [0.0, 625.0]
     for f in m.terms.values():
-        assert f.is_real()
+        assert SpectralField(f.grid, f.coef).real_samples
 
 
 @settings(max_examples=30, deadline=None)

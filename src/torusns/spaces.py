@@ -15,10 +15,13 @@ The mean mode is excluded from every block.
 Only sups are taken (p = inf, and r = inf in time).  Block j's sup has the
 bound B_j = sum_xi w_j(xi) |c(xi)|_2 (the triangle inequality over the
 modes), for all blocks from one ``bincount`` of |c|_2 over the radial
-index.  A norm that keeps the largest of some values skips a value whose
-bound has (1 + 1e-12) B < the largest kept so far: it is at most B, up to
-rounding well inside the margin, so it could not be the largest, and the
-norm is bit-identical to sampling every block.
+index.  A norm that keeps the largest of some values takes them in
+descending bound order and stops at the first whose (1 + 1e-12) B is below
+the largest taken (``_largest``): each value is at most its bound, up to
+rounding well inside the margin, so the norm is bit-identical to sampling
+every block.  The Chemin-Lerner norm keeps each sample's bounds and its
+``sampling_slab`` (the half spectrum its real samples are built from, not
+the whole field), then takes each block's samples in bound order.
 """
 
 from __future__ import annotations
@@ -93,14 +96,10 @@ class LittlewoodPaley:
         """sup |Delta_j f| sampled on the 3/2 grid."""
         return float(modulus(f, self.weight(j)).max())
 
-    def sups(self, f, floor=0.0) -> np.ndarray:
-        """Every block's ``sup``, sampled where the weight meets a nonzero
-        coefficient of f and the skip rule keeps it against floor[j]; 0
-        elsewhere."""
-        bound, live = self.bounds(f)
-        take = live & ((1 + 1e-12) * bound >= floor)
+    def sups(self, f) -> np.ndarray:
+        """Each block's ``sup`` where it meets a nonzero coef of f, else 0."""
         return np.array([self.sup(f, j) if t else 0.0
-                         for j, t in enumerate(take)])
+                         for j, t in enumerate(self.bounds(f)[1])])
 
 
 @lru_cache(maxsize=8)
@@ -134,10 +133,20 @@ def block_lp_norms(f, p: float) -> np.ndarray:
     return LittlewoodPaley(f.grid).sups(f)
 
 
+def _largest(bounds: dict, value) -> float:
+    """The largest value(k) (0 for none), the keys taken in descending
+    ``bounds`` up to the first whose (1 + 1e-12) bound is below it."""
+    best = 0.0
+    for k in sorted(bounds, key=bounds.get, reverse=True):
+        if (1 + 1e-12) * bounds[k] < best:
+            break
+        best = max(best, value(k))
+    return best
+
+
 def besov_norm(f, s: float, p: float, q: float) -> float:
     """Inhomogeneous Besov norm B^s_{p,q} (p = inf; mean mode excluded).
-    For q = inf the blocks are sampled in descending 2^{js} B_j up to the
-    first that the skip rule drops."""
+    For q = inf the blocks are taken by ``_largest`` on 2^{js} B_j."""
     _sups_only(p)
     lp = LittlewoodPaley(f.grid)
     scale = [2.0 ** (j * s) for j in lp.blocks]
@@ -145,36 +154,33 @@ def besov_norm(f, s: float, p: float, q: float) -> float:
         weighted = np.array(scale) * block_lp_norms(f, p)
         return float(np.sum(weighted ** q) ** (1.0 / q))
     bound, live = lp.bounds(f)
-    best = 0.0
-    for j in sorted(np.flatnonzero(live), key=lambda j: -scale[j] * bound[j]):
-        if (1 + 1e-12) * scale[j] * bound[j] < best:
-            break
-        best = max(best, scale[j] * lp.sup(f, j))
-    return best
+    return _largest({j: scale[j] * bound[j] for j in np.flatnonzero(live)},
+                    lambda j: scale[j] * lp.sup(f, j))
 
 
 def chemin_lerner_norm(times, fields, s: float, p: float, q: float,
                        r: float) -> float:
     """Time-mixed Besov norm: the time L^r norm (r = p = inf) is taken
-    inside the block sum, as block j's largest sample; the skip rule drops
-    block j of a sample against block j's largest so far.  `times` are
-    >= 8 strictly increasing samples spanning the interval, at any spacing
-    (the corrector window's samples, `corrector_window_times`, are
-    geometric).  `fields` may be any iterable (a generator keeps one field
-    in memory at a time), one field per time sample, all on one grid.
-    """
+    inside the block sum, as block j's largest sample.  `times` are >= 8
+    strictly increasing samples spanning the interval, at any spacing (the
+    corrector window's, `corrector_window_times`, are geometric).  `fields`
+    is any iterable, read once, one field per time, all on one grid: each
+    one's bounds and ``sampling_slab`` are kept, then ``_largest`` takes
+    each block's samples in the order of their B_j."""
     _sups_only(p, r)
     times = np.asarray(times, dtype=np.float64)
     if times.size < 8:
         raise ValueError("chemin_lerner_norm needs at least 8 time samples")
     if np.any(np.diff(times) <= 0):
         raise ValueError("time samples must be strictly increasing")
-    count, peak = 0, 0.0
-    for count, f in enumerate(fields, 1):
-        peak = np.maximum(peak, LittlewoodPaley(f.grid).sups(f, peak))
-    if count != times.size:
+    kept = [(LittlewoodPaley(f.grid).bounds(f), f.sampling_slab())
+            for f in fields]
+    if len(kept) != times.size:
         raise ValueError("need one field per time sample")
-    per_block = np.array([(2.0 ** (j * s)) * v for j, v in enumerate(peak)])
+    lp = LittlewoodPaley(kept[0][1].grid)
+    per_block = np.array([(2.0 ** (j * s)) * _largest(
+        {i: b[j] for i, ((b, live), _) in enumerate(kept) if live[j]},
+        lambda i: lp.sup(kept[i][1], j)) for j in lp.blocks])
     if q == np.inf:
         return float(per_block.max())
     return float(np.sum(per_block ** q) ** (1.0 / q))

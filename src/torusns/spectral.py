@@ -259,6 +259,22 @@ class SpectralField:
             self._real = bool((nyq <= bound).all()) and _hermitian(c, bound)
         return self._real
 
+    def sampling_slab(self):
+        """What the samples are built from: when real, a ``HalfSlab`` of the
+        k2 >= 0 columns to the last nonzero one, rows to the exact |k1|
+        extent (``band`` drops rounding), no Nyquist lines; else self."""
+        if not self.real_samples:
+            return self
+        c, n, h = self.coef, self.grid.n, self.grid.nyquist
+        live = np.any(c[..., :h], axis=tuple(range(c.ndim - 2)))
+        live[h] = False
+        cols = np.flatnonzero(live.any(axis=0))
+        b = int(cols[-1]) + 1 if cols.size else 1
+        rows = np.flatnonzero(live[:, :b].any(axis=1))
+        e = int(np.minimum(rows, n - rows).max(initial=0))
+        return HalfSlab(self.grid, np.concatenate(
+            (c[..., :e + 1, :b], c[..., n - e:, :b]), axis=-2))
+
     def to_physical(self) -> np.ndarray:
         return np.fft.ifft2(self.coef) * (self.grid.n * self.grid.n)
 
@@ -433,6 +449,19 @@ class MatrixField(SpectralField):
     sup_norm = SpectralField.sup_norm
 
 
+@dataclass(frozen=True)
+class HalfSlab:
+    """Rows k1 = 0..e, -e..-1 of a real field's k2 >= 0 columns; it
+    samples (``modulus``) as its field, bit for bit."""
+
+    grid: Grid
+    coef: np.ndarray
+    real_samples = True
+
+    def sampling_slab(self) -> "HalfSlab":
+        return self
+
+
 #: component shape of each kind, and the kind of each component shape
 _SHAPES = {SpectralField: (), VectorField: (2,), MatrixField: (2, 2)}
 _KINDS = {shape: kind for kind, shape in _SHAPES.items()}
@@ -469,39 +498,34 @@ def _pad(coef: np.ndarray, m: int) -> np.ndarray:
 
 def _physical(f: SpectralField, m: int, symbol=None) -> np.ndarray:
     """Samples of an n x n field on the m x m grid (m >= n), all components
-    at once: float64 from the k2 >= 0 half when the field's samples are
-    real, complex otherwise.  With ``symbol`` (n x n, real and even), the
-    samples of the Fourier multiple symbol * f: formed as a field, which
-    tests its own reality, unless f is real, when so is the multiple and
-    its coefficients are never formed.
+    at once: float64 from its ``sampling_slab`` when its samples are real
+    (a ``HalfSlab`` samples as its field), complex otherwise.  With
+    ``symbol`` (n x n, real and even), the samples of the multiple
+    symbol * f: formed as a field, which tests its own reality, unless f
+    is real, when so is the multiple, formed on the slab only.
 
-    Real samples take two single-axis passes, the first over the live
-    columns only: the k2 >= 0 columns up to the last that holds a nonzero
-    coefficient (and a nonzero ``symbol`` entry) are inverted along k1 in
-    place, and the real inverse along k2 zero-fills the rest of the half
-    spectrum itself.  The complex inverse is one call, in place on the
-    padded coefficients.  The scaling is in place.
-    """
+    Real samples take two single-axis passes: the slab's columns up to the
+    last where ``symbol`` is nonzero are inverted along k1 in place, and
+    the real inverse along k2 zero-fills the rest of the half spectrum
+    itself.  The complex inverse is one call, in place on the padded
+    coefficients.  The scaling is in place."""
     if symbol is not None and not f.real_samples:
         f, symbol = f.apply_symbol(symbol), None
-    c = f.coef
     if f.real_samples:
-        h = f.grid.nyquist
-        # the exact nonzero extent: ``band`` drops rounding-level content
-        live = np.any(c[..., :h], axis=tuple(range(c.ndim - 1)))
+        c = f.sampling_slab().coef
+        n, e, b = f.grid.n, c.shape[-2] // 2, c.shape[-1]
         if symbol is not None:
-            live &= symbol[:, :h].any(axis=0)
-        b = max(len(np.trim_zeros(live, "b")), 1)
+            symbol = symbol[np.r_[0:e + 1, n - e:n], :b]
+            cols = np.flatnonzero(symbol.any(axis=0))
+            b = int(cols[-1]) + 1 if cols.size else 1
+            c = c[..., :b] * symbol[:, :b]
         half = np.zeros(c.shape[:-2] + (m, b), dtype=np.complex128)
-        half[..., :h, :] = c[..., :h, :b]
-        half[..., m - h + 1:, :] = c[..., h + 1:, :b]
-        if symbol is not None:
-            half[..., :h, :] *= symbol[:h, :b]
-            half[..., m - h + 1:, :] *= symbol[h + 1:, :b]
+        half[..., :e + 1, :] = c[..., :e + 1, :]
+        half[..., m - e:, :] = c[..., e + 1:, :]
         np.fft.ifftn(half, axes=(-2,), out=half)
         p = np.fft.irfftn(half, s=(m,), axes=(-1,))
     else:
-        p = _pad(c, m)
+        p = _pad(f.coef, m)
         np.fft.ifftn(p, axes=(-2, -1), out=p)
     p *= m * m
     return p

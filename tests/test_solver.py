@@ -13,7 +13,7 @@ import torusns
 from torusns import solver as slv
 from torusns import spectral
 from torusns.construction import heat_mode_residual, sin_shear
-from torusns.spaces import LittlewoodPaley
+from torusns.spaces import LittlewoodPaley, chemin_lerner_norm
 from torusns.spectral import Grid, MatrixField, SpectralField, VectorField
 from torusns.timefield import ExpSeries
 
@@ -431,14 +431,14 @@ def test_heat_duhamel_on_its_terms_grids_is_the_full_grid_formula(
         assert np.array_equal(got.coef, want.coef)
 
 
-def test_heat_duhamel_of_real_terms_is_known_real(monkeypatch):
-    # the factors and P are real and even, so real terms give a real
-    # output, marked so without a Hermitian test.  Random noise at 1e-15
-    # of the term's largest coefficient on the slowly decaying modes
-    # |xi|_inf <= 2 outlives the resonant bulk at |xi|^2 = 100: at
-    # t = 0.15 the output's own coefficients fail the 1e-12 test (their
-    # anti-Hermitian part is 2.6e-10 of the largest), as the acceptance
-    # run's late corrector samples do
+def _late_failing_forcing():
+    """(grid, forcing): one real term whose heat-Duhamel samples from
+    t = 0.15 on fail their own Hermitian test.  Random noise at 1e-15 of
+    the term's largest coefficient on the slowly decaying modes
+    |xi|_inf <= 2 outlives the resonant bulk at |xi|^2 = 100: at t = 0.15
+    the output's own coefficients fail the 1e-12 test (their
+    anti-Hermitian part is 2.6e-10 of the largest), as the acceptance
+    run's late corrector samples do."""
     grid = Grid(64)
     psi = SpectralField.from_modes(grid, {(6, 8): 0.5, (-6, -8): 0.5})
     c = psi.perp_gradient().coef
@@ -450,7 +450,13 @@ def test_heat_duhamel_of_real_terms_is_known_real(monkeypatch):
         + 1j * rng.standard_normal((2, int(low.sum()))))
     term = SpectralField(grid, c)
     assert term.real_samples
-    forcing = ExpSeries({100.0: term})
+    return grid, ExpSeries({100.0: term})
+
+
+def test_heat_duhamel_of_real_terms_is_known_real(monkeypatch):
+    # the factors and P are real and even, so real terms give a real
+    # output, marked so without a Hermitian test
+    grid, forcing = _late_failing_forcing()
 
     def no_test(*args):
         raise AssertionError("Hermitian test run")
@@ -473,6 +479,22 @@ def test_heat_duhamel_of_real_terms_is_known_real(monkeypatch):
     real = lp.sups(late)
     cplx = lp.sups(SpectralField(grid, lc, real=False))
     assert 0.0 < np.abs(real - cplx).max() <= l1
+
+
+def test_chemin_lerner_norm_keeps_the_known_reality_of_late_samples():
+    # the norm keeps each sample's slab, which must carry the sample's
+    # known reality: a re-tested copy of a late sample would take the
+    # complex path and move the norm
+    grid, forcing = _late_failing_forcing()
+    times = np.linspace(0.15, 0.3, 8)
+    fs = [slv.heat_duhamel(forcing, t, grid) for t in times]
+    assert all(f.real_samples for f in fs)
+    assert not SpectralField(grid, fs[0].coef).real_samples
+    lp = LittlewoodPaley(grid)
+    peak = np.max([lp.sups(f) for f in fs], axis=0)
+    per_block = np.array([(2.0 ** (-0.5 * j)) * v for j, v in enumerate(peak)])
+    assert chemin_lerner_norm(times, iter(fs), -0.5, np.inf, 1.0,
+                              np.inf) == float(np.sum(per_block))
 
 
 def test_heat_duhamel_gradient_forcing_is_zero():

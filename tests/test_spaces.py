@@ -1,5 +1,7 @@
 """Littlewood-Paley machinery and the norm oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,10 +165,20 @@ def _random_field(rng, grid, shape, real, band):
     return SpectralField(grid, c)
 
 
+def _rise_then_fall(grid, f):
+    """Nine samples t e^{-(1 + 1e-3 |xi|^2) t} f: zero at t = 0, then at
+    geometric t from 1/64 to 64, as the corrector window's are.  Each mode
+    rises to its peak and falls again, the low modes in the middle and
+    the high ones earlier, as w_L's samples do."""
+    return [SpectralField(grid, f.coef * t * np.exp(-(1.0 + 1e-3 * grid.ksq)
+                                                    * t))
+            for t in np.r_[0.0, np.geomspace(1.0 / 64.0, 64.0, 8)]]
+
+
 def _skip_cases():
     """(grid, fields) cases on grids 64, 96 and 128: random real and complex
-    scalars and vectors decaying in time, and a single mode, each with
-    zero samples."""
+    scalars and vectors decaying in time, a real vector rising then
+    falling, and a single mode, each with zero samples."""
     rng = np.random.default_rng(41)
     for n in (64, 96, 128):
         grid = Grid(n)
@@ -178,6 +190,8 @@ def _skip_cases():
                   for i in range(9)]
             fs[0] = 0.0 * f    # a zero sample
             yield grid, fs
+            if shape == (2,) and real:
+                yield grid, _rise_then_fall(grid, f)
         mode = SpectralField.from_modes(grid, {(5, 3): 1.0, (-5, -3): 1.0})
         # the bound of a single mode is tight, so a larger later sample
         # must be taken
@@ -240,6 +254,85 @@ def test_decaying_samples_skip_blocks(monkeypatch):
                         lambda *a, **k: calls.append(1) or sample(*a, **k))
     chemin_lerner_norm(np.arange(8.0), fs, -0.5, np.inf, 1.0, np.inf)
     assert live <= len(calls) < len(fs) * live
+
+
+def _time_order_samplings(lp, fs):
+    """How many blocks a pass in time order samples: block j of a sample
+    where its weight meets a nonzero coefficient and (1 + 1e-12) B_j
+    reaches block j's largest value so far."""
+    peak, count = 0.0, 0
+    for f in fs:
+        bound, live = lp.bounds(f)
+        count += int((live & ((1 + 1e-12) * bound >= peak)).sum())
+        peak = np.maximum(peak, lp.sups(f))
+    return count
+
+
+def test_bound_order_samples_fewer_blocks_than_time_order(monkeypatch):
+    # while the samples rise, each is a block's largest so far, so a pass
+    # in time order samples it again; bound order takes each block's
+    # largest bounds first and stops
+    grid = Grid(96)
+    f = _random_field(np.random.default_rng(3), grid, (2,), True, 40)
+    fs = _rise_then_fall(grid, f)
+    lp = LittlewoodPaley(grid)
+    live = int(lp.bounds(f)[1].sum())
+    in_time_order = _time_order_samplings(lp, fs)
+    calls = []
+    sample = spectral._physical
+    monkeypatch.setattr(spectral, "_physical",
+                        lambda *a, **k: calls.append(1) or sample(*a, **k))
+    chemin_lerner_norm(np.arange(9.0), fs, -0.5, np.inf, 1.0, np.inf)
+    assert live <= len(calls) < in_time_order
+
+
+def test_chemin_lerner_reads_its_fields_once():
+    f = SpectralField.from_modes(GRID, {(4, 0): 1.0, (-4, 0): 1.0})
+    times = np.arange(9.0)
+    pulled = []
+
+    def samples(count):
+        for i in range(count):
+            pulled.append(i)
+            yield (1.0 + i % 4) * f
+
+    want = chemin_lerner_norm(times, list(samples(9)), -0.5, np.inf, 1.0,
+                              np.inf)
+    pulled.clear()
+    assert chemin_lerner_norm(times, samples(9), -0.5, np.inf, 1.0,
+                              np.inf) == want
+    assert pulled == list(range(9))
+    for count in (8, 10):
+        with pytest.raises(ValueError):
+            chemin_lerner_norm(times, samples(count), -0.5, np.inf, 1.0,
+                               np.inf)
+
+
+def test_chemin_lerner_keeps_slabs_not_whole_samples():
+    # 16 real samples of band 20 on grid 256, each made as it is read:
+    # the norm keeps their half-spectrum slabs, so its peak stays below
+    # the bytes of four whole samples
+    grid = Grid(256)
+    k = np.abs(grid.k)
+    rng = np.random.default_rng(5)
+    c = np.zeros((2, grid.n, grid.n), dtype=complex)
+    box = (k[:, None] <= 20) & (k[None, :] <= 20)
+    c[:, box] = rng.standard_normal((2, int(box.sum()))) \
+        + 1j * rng.standard_normal((2, int(box.sum())))
+    minus = (-np.arange(grid.n)) % grid.n
+    c = 0.5 * (c + c[:, minus][:, :, minus].conj())
+    assert SpectralField(grid, c).real_samples
+    LittlewoodPaley(grid)    # the grid's block tables, cached for good
+    samples = (SpectralField(grid, c * (1.0 + np.sin(i)), real=True)
+               for i in range(16))
+    tracemalloc.start()
+    try:
+        chemin_lerner_norm(np.arange(16.0), samples, -0.5, np.inf, 1.0,
+                           np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * c.nbytes
 
 
 def test_only_sup_exponents_are_taken():
